@@ -50,8 +50,9 @@ main()
             opts.memoryInfo = true;
             opts.handlerRegCap = cap;
             rt.instrument(opts);
-            rt.setBeforeHandler([](const core::HandlerEnv &) {},
-                                core::HandlerTraits{false, {}});
+            core::HandlerTraits traits;
+            traits.warpSynchronous = false;
+            rt.setBeforeHandler([](const core::HandlerEnv &) {}, traits);
             RunOutcome out = runAll(*w, dev);
             fatal_if(!out.last.ok() || !out.verified,
                      "%s failed at cap %d", entry.name.c_str(), cap);

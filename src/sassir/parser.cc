@@ -509,6 +509,11 @@ parseAssembly(const std::string &text)
         // (a minimizer-shrunk kernel can use fewer registers than
         // its budget, and the budget is part of the uop-cache
         // fingerprint and so of reproducer content identity).
+        // A register beyond the declared budget would only panic at
+        // launch; reject it here like any other malformed listing.
+        fatal_if(max_reg >= decl_regs && decl_regs >= 0,
+                 "register R%d beyond .regs %d in kernel '%s'", max_reg,
+                 decl_regs, cur->name.c_str());
         cur->numRegs = decl_regs >= 0 ? decl_regs
                                       : std::max(max_reg + 1, 18);
         labels.clear();

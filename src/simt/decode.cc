@@ -1,16 +1,10 @@
 #include "simt/decode.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "sassir/cfg.h"
-#include "simt/device.h"
+#include "simt/alu_ops.h"
 #include "simt/simd/simd_exec.h"
-#include "simt/warp.h"
-#include "util/bitops.h"
 
 namespace sassi::simt {
 
@@ -18,625 +12,18 @@ using namespace sass;
 
 namespace {
 
-/*
- * Fast-path lane helpers. These run only inside superblocks, where
- * the compiler has already proven every referenced register is
- * within the kernel's budget, so they index the register-major file
- * directly instead of going through Warp::reg/setReg's panic_if
- * checks. RZ still reads 0 / discards writes.
- */
-
-inline uint32_t
-rd(const uint32_t *regs, int lane, RegId r)
-{
-    return r == RZ
-               ? 0u
-               : regs[static_cast<size_t>(r) * WarpSize +
-                      static_cast<size_t>(lane)];
-}
-
-inline void
-wr(uint32_t *regs, int lane, RegId r, uint32_t v)
-{
-    if (r != RZ)
-        regs[static_cast<size_t>(r) * WarpSize +
-             static_cast<size_t>(lane)] = v;
-}
-
-template <bool BImm>
-inline uint32_t
-srcB(const uint32_t *regs, int lane, const Instruction &ins)
-{
-    if constexpr (BImm)
-        return static_cast<uint32_t>(ins.imm);
-    else
-        return rd(regs, lane, ins.srcB);
-}
-
-/** Iterate the set lanes of exec; body(lane, register_file). */
-template <typename Body>
-inline void
-forLanes(Warp &warp, uint32_t exec, Body &&body)
-{
-    uint32_t *regs = warp.regs.data();
-    for (uint32_t m = exec; m; m &= m - 1) {
-        const int lane = std::countr_zero(m);
-        body(lane, regs);
-    }
-}
-
-inline float
-asFloat(uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, 4);
-    return f;
-}
-
-inline uint32_t
-asBits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, 4);
-    return b;
-}
-
-inline bool
-cmpInt(CmpOp op, int64_t a, int64_t b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::NE: return a != b;
-      case CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-inline bool
-cmpFloat(CmpOp op, float a, float b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::NE: return a != b;
-      case CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-inline bool
-logicEval(LogicOp op, bool a, bool b)
-{
-    switch (op) {
-      case LogicOp::And: return a && b;
-      case LogicOp::Or: return a || b;
-      case LogicOp::Xor: return a != b;
-      case LogicOp::PassB: return b;
-      case LogicOp::Not: return !a;
-    }
-    return false;
-}
-
-/*
- * The micro-op exec functions. Each mirrors its execAlu case
- * expression for expression (the differential tests assert
- * bit-identical results), with the operand facts the generic path
- * re-tests per warp instruction — bIsImm, useCC/setCC, signedness,
- * the LOP operation — burned in as template parameters.
- */
-
-void
-uNop(const UopCtx &, Warp &, const Instruction &, uint32_t)
-{
-}
-
-void
-uMov(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst, rd(regs, lane, ins.srcA));
-    });
-}
-
-void
-uMov32i(const UopCtx &, Warp &warp, const Instruction &ins,
-        uint32_t exec)
-{
-    const uint32_t imm_u = static_cast<uint32_t>(ins.imm);
-    forLanes(warp, exec,
-             [&](int lane, uint32_t *regs) { wr(regs, lane, ins.dst, imm_u); });
-}
-
-template <bool BImm>
-void
-uSel(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        bool p = warp.pred(lane, ins.pSrc) != ins.pSrcNeg;
-        wr(regs, lane, ins.dst, p ? rd(regs, lane, ins.srcA) : srcB<BImm>(regs, lane, ins));
-    });
-}
-
-template <bool BImm, bool UseCC, bool SetCC>
-void
-uIadd(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint64_t sum = static_cast<uint64_t>(rd(regs, lane, ins.srcA)) +
-                       srcB<BImm>(regs, lane, ins) +
-                       (UseCC && warp.cc(lane) ? 1u : 0u);
-        wr(regs, lane, ins.dst, static_cast<uint32_t>(sum));
-        if constexpr (SetCC)
-            warp.setCC(lane, (sum >> 32) != 0);
-    });
-}
-
-template <bool BImm>
-void
-uImul(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst, rd(regs, lane, ins.srcA) * srcB<BImm>(regs, lane, ins));
-    });
-}
-
-template <bool BImm>
-void
-uImad(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst,
-           rd(regs, lane, ins.srcA) * srcB<BImm>(regs, lane, ins) + rd(regs, lane, ins.srcC));
-    });
-}
-
-template <bool BImm, bool IsMin>
-void
-uImnmx(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        int32_t sa = static_cast<int32_t>(rd(regs, lane, ins.srcA));
-        int32_t sb = static_cast<int32_t>(srcB<BImm>(regs, lane, ins));
-        wr(regs, lane, ins.dst, static_cast<uint32_t>(
-            IsMin ? std::min(sa, sb) : std::max(sa, sb)));
-    });
-}
-
-template <bool BImm>
-void
-uShl(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t a = rd(regs, lane, ins.srcA);
-        uint32_t b = srcB<BImm>(regs, lane, ins);
-        wr(regs, lane, ins.dst, b >= 32 ? 0 : a << (b & 31));
-    });
-}
-
-template <bool BImm>
-void
-uShrS(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t a = rd(regs, lane, ins.srcA);
-        wr(regs, lane, ins.dst, static_cast<uint32_t>(
-            static_cast<int32_t>(a) >>
-            std::min<uint32_t>(srcB<BImm>(regs, lane, ins), 31)));
-    });
-}
-
-template <bool BImm>
-void
-uShrU(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t a = rd(regs, lane, ins.srcA);
-        uint32_t b = srcB<BImm>(regs, lane, ins);
-        wr(regs, lane, ins.dst, b >= 32 ? 0 : a >> (b & 31));
-    });
-}
-
-template <bool BImm, LogicOp Op>
-void
-uLop(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t r;
-        if constexpr (Op == LogicOp::And)
-            r = rd(regs, lane, ins.srcA) & srcB<BImm>(regs, lane, ins);
-        else if constexpr (Op == LogicOp::Or)
-            r = rd(regs, lane, ins.srcA) | srcB<BImm>(regs, lane, ins);
-        else if constexpr (Op == LogicOp::Xor)
-            r = rd(regs, lane, ins.srcA) ^ srcB<BImm>(regs, lane, ins);
-        else if constexpr (Op == LogicOp::PassB)
-            r = srcB<BImm>(regs, lane, ins);
-        else
-            r = ~rd(regs, lane, ins.srcA);
-        wr(regs, lane, ins.dst, r);
-    });
-}
-
-void
-uPopc(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst,
-           static_cast<uint32_t>(popc(rd(regs, lane, ins.srcA))));
-    });
-}
-
-void
-uFlo(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t a = rd(regs, lane, ins.srcA);
-        uint32_t r = a == 0 ? 0xffffffffu
-                            : static_cast<uint32_t>(
-                                  31 - std::countl_zero(a));
-        wr(regs, lane, ins.dst, r);
-    });
-}
-
-template <bool BImm, bool Signed>
-void
-uIsetp(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        bool result;
-        if constexpr (Signed)
-            result = cmpInt(
-                ins.cmp, static_cast<int32_t>(rd(regs, lane, ins.srcA)),
-                static_cast<int32_t>(srcB<BImm>(regs, lane, ins)));
-        else
-            result = cmpInt(ins.cmp, rd(regs, lane, ins.srcA),
-                            srcB<BImm>(regs, lane, ins));
-        warp.setPred(lane, ins.pDst,
-                     result &&
-                         (warp.pred(lane, ins.pSrc) != ins.pSrcNeg));
-    });
-}
-
-void
-uPsetp(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    const auto pb_id = static_cast<PredId>(ins.imm & 7);
-    const bool pb_neg = (ins.imm & 8) != 0;
-    forLanes(warp, exec, [&](int lane, uint32_t *) {
-        bool pa = warp.pred(lane, ins.pSrc) != ins.pSrcNeg;
-        bool pb = warp.pred(lane, pb_id) != pb_neg;
-        warp.setPred(lane, ins.pDst, logicEval(ins.logic, pa, pb));
-    });
-}
-
-void
-uP2r(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    const uint32_t imm_u = static_cast<uint32_t>(ins.imm);
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t bits = warp.predByte(lane);
-        if (warp.cc(lane))
-            bits |= 0x80;
-        wr(regs, lane, ins.dst, bits & imm_u);
-    });
-}
-
-void
-uR2p(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    const uint32_t imm_u = static_cast<uint32_t>(ins.imm);
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t a = rd(regs, lane, ins.srcA);
-        for (PredId p = 0; p < NumPred; ++p) {
-            if (imm_u & (1u << p))
-                warp.setPred(lane, p, a & (1u << p));
-        }
-        if (imm_u & 0x80)
-            warp.setCC(lane, a & 0x80);
-    });
-}
-
-template <bool BImm>
-void
-uFadd(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst, asBits(asFloat(rd(regs, lane, ins.srcA)) +
-                               asFloat(srcB<BImm>(regs, lane, ins))));
-    });
-}
-
-template <bool BImm>
-void
-uFmul(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst, asBits(asFloat(rd(regs, lane, ins.srcA)) *
-                               asFloat(srcB<BImm>(regs, lane, ins))));
-    });
-}
-
-template <bool BImm>
-void
-uFfma(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst,
-           asBits(asFloat(rd(regs, lane, ins.srcA)) *
-                      asFloat(srcB<BImm>(regs, lane, ins)) +
-                  asFloat(rd(regs, lane, ins.srcC))));
-    });
-}
-
-template <bool BImm, bool IsMin>
-void
-uFmnmx(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        float fa = asFloat(rd(regs, lane, ins.srcA));
-        float fb = asFloat(srcB<BImm>(regs, lane, ins));
-        wr(regs, lane, ins.dst,
-           asBits(IsMin ? std::fmin(fa, fb) : std::fmax(fa, fb)));
-    });
-}
-
-template <bool BImm>
-void
-uFsetp(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        warp.setPred(lane, ins.pDst,
-                     cmpFloat(ins.cmp, asFloat(rd(regs, lane, ins.srcA)),
-                              asFloat(srcB<BImm>(regs, lane, ins))) &&
-                         (warp.pred(lane, ins.pSrc) != ins.pSrcNeg));
-    });
-}
-
-void
-uMufu(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        float fa = asFloat(rd(regs, lane, ins.srcA));
-        float r = 0.f;
-        switch (ins.mufu) {
-          case MufuOp::Rcp: r = 1.0f / fa; break;
-          case MufuOp::Sqrt: r = std::sqrt(fa); break;
-          case MufuOp::Rsq: r = 1.0f / std::sqrt(fa); break;
-          case MufuOp::Lg2: r = std::log2(fa); break;
-          case MufuOp::Ex2: r = std::exp2(fa); break;
-          case MufuOp::Sin: r = std::sin(fa); break;
-          case MufuOp::Cos: r = std::cos(fa); break;
-        }
-        wr(regs, lane, ins.dst, asBits(r));
-    });
-}
-
-void
-uI2f(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst, asBits(static_cast<float>(
-                            static_cast<int32_t>(rd(regs, lane, ins.srcA)))));
-    });
-}
-
-void
-uF2i(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        float f = asFloat(rd(regs, lane, ins.srcA));
-        int32_t r;
-        if (std::isnan(f))
-            r = 0;
-        else if (f >= 2147483647.0f)
-            r = 2147483647;
-        else if (f <= -2147483648.0f)
-            r = -2147483647 - 1;
-        else
-            r = static_cast<int32_t>(f);
-        wr(regs, lane, ins.dst, static_cast<uint32_t>(r));
-    });
-}
-
-void
-uS2rTid(const UopCtx &ctx, Warp &warp, const Instruction &ins,
-        uint32_t exec)
-{
-    const SpecialReg sr = ins.sreg;
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint32_t linear = static_cast<uint32_t>(
-            warp.rank * WarpSize + lane);
-        uint32_t v;
-        if (sr == SpecialReg::TidX)
-            v = linear % ctx.block.x;
-        else if (sr == SpecialReg::TidY)
-            v = (linear / ctx.block.x) % ctx.block.y;
-        else
-            v = linear / (ctx.block.x * ctx.block.y);
-        wr(regs, lane, ins.dst, v);
-    });
-}
-
-void
-uS2rLane(const UopCtx &, Warp &warp, const Instruction &ins,
-         uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        wr(regs, lane, ins.dst, static_cast<uint32_t>(lane));
-    });
-}
-
-void
-uS2rUniform(const UopCtx &ctx, Warp &warp, const Instruction &ins,
-            uint32_t exec)
-{
-    uint32_t v = 0;
-    switch (ins.sreg) {
-      case SpecialReg::CtaIdX: v = ctx.cta.x; break;
-      case SpecialReg::CtaIdY: v = ctx.cta.y; break;
-      case SpecialReg::CtaIdZ: v = ctx.cta.z; break;
-      case SpecialReg::NTidX: v = ctx.block.x; break;
-      case SpecialReg::NTidY: v = ctx.block.y; break;
-      case SpecialReg::NTidZ: v = ctx.block.z; break;
-      case SpecialReg::NCtaIdX: v = ctx.grid.x; break;
-      case SpecialReg::NCtaIdY: v = ctx.grid.y; break;
-      case SpecialReg::NCtaIdZ: v = ctx.grid.z; break;
-      case SpecialReg::WarpId:
-        v = static_cast<uint32_t>(warp.rank);
-        break;
-      default: break;
-    }
-    forLanes(warp, exec,
-             [&](int lane, uint32_t *regs) { wr(regs, lane, ins.dst, v); });
-}
-
-void
-uL2g(const UopCtx &ctx, Warp &warp, const Instruction &ins,
-     uint32_t exec)
-{
-    forLanes(warp, exec, [&](int lane, uint32_t *regs) {
-        uint64_t thread =
-            ctx.ctaLinear * ctx.block.count() +
-            static_cast<uint64_t>(warp.rank * WarpSize + lane);
-        uint64_t g = Device::LocalWindowBase +
-                     thread * ctx.localBytes + rd(regs, lane, ins.srcA);
-        wr(regs, lane, ins.dst, lo32(g));
-        wr(regs, lane, static_cast<RegId>(ins.dst + 1), hi32(g));
-    });
-}
-
-/**
- * Select the specialized exec function for an ALU-class
- * instruction, or null when the op has no fast path: an opcode the
- * table doesn't cover, an S2R of %clock (whose value depends on the
- * exact per-instruction stats order the batched run changes), or a
- * register outside the kernel's budget (the generic path's bounds
- * check must produce the fault).
- */
-AluFn
-pickAluFn(const ir::Kernel &kernel, const Instruction &ins)
+/** Whether every register the instruction names is inside the
+ *  kernel's budget, so exec functions may skip bounds checks. */
+bool
+inBudget(const ir::Kernel &kernel, const Instruction &ins)
 {
     auto fits = [&](RegId r) {
         return r == RZ || static_cast<int>(r) < kernel.numRegs;
     };
-    for (RegId r : ins.dstRegs())
-        if (!fits(r))
-            return nullptr;
-    for (RegId r : ins.srcRegs())
-        if (!fits(r))
-            return nullptr;
-
-    const bool bi = ins.bIsImm;
-    switch (ins.op) {
-      case Opcode::NOP:
-      case Opcode::MEMBAR:
-        return uNop;
-      case Opcode::MOV:
-        return uMov;
-      case Opcode::MOV32I:
-        return uMov32i;
-      case Opcode::SEL:
-        return bi ? uSel<true> : uSel<false>;
-      case Opcode::IADD:
-      case Opcode::IADD32I:
-        if (bi)
-            return ins.useCC
-                       ? (ins.setCC ? uIadd<true, true, true>
-                                    : uIadd<true, true, false>)
-                       : (ins.setCC ? uIadd<true, false, true>
-                                    : uIadd<true, false, false>);
-        return ins.useCC
-                   ? (ins.setCC ? uIadd<false, true, true>
-                                : uIadd<false, true, false>)
-                   : (ins.setCC ? uIadd<false, false, true>
-                                : uIadd<false, false, false>);
-      case Opcode::IMUL:
-        return bi ? uImul<true> : uImul<false>;
-      case Opcode::IMAD:
-        return bi ? uImad<true> : uImad<false>;
-      case Opcode::IMNMX:
-        if (ins.cmp == CmpOp::LT)
-            return bi ? uImnmx<true, true> : uImnmx<false, true>;
-        return bi ? uImnmx<true, false> : uImnmx<false, false>;
-      case Opcode::SHL:
-        return bi ? uShl<true> : uShl<false>;
-      case Opcode::SHR:
-        if (ins.sExt)
-            return bi ? uShrS<true> : uShrS<false>;
-        return bi ? uShrU<true> : uShrU<false>;
-      case Opcode::LOP:
-        switch (ins.logic) {
-          case LogicOp::And:
-            return bi ? uLop<true, LogicOp::And>
-                      : uLop<false, LogicOp::And>;
-          case LogicOp::Or:
-            return bi ? uLop<true, LogicOp::Or>
-                      : uLop<false, LogicOp::Or>;
-          case LogicOp::Xor:
-            return bi ? uLop<true, LogicOp::Xor>
-                      : uLop<false, LogicOp::Xor>;
-          case LogicOp::PassB:
-            return bi ? uLop<true, LogicOp::PassB>
-                      : uLop<false, LogicOp::PassB>;
-          case LogicOp::Not:
-            return bi ? uLop<true, LogicOp::Not>
-                      : uLop<false, LogicOp::Not>;
-        }
-        return nullptr;
-      case Opcode::POPC:
-        return uPopc;
-      case Opcode::FLO:
-        return uFlo;
-      case Opcode::ISETP:
-        if (ins.sExt)
-            return bi ? uIsetp<true, true> : uIsetp<false, true>;
-        return bi ? uIsetp<true, false> : uIsetp<false, false>;
-      case Opcode::PSETP:
-        return uPsetp;
-      case Opcode::P2R:
-        return uP2r;
-      case Opcode::R2P:
-        return uR2p;
-      case Opcode::FADD:
-        return bi ? uFadd<true> : uFadd<false>;
-      case Opcode::FMUL:
-        return bi ? uFmul<true> : uFmul<false>;
-      case Opcode::FFMA:
-        return bi ? uFfma<true> : uFfma<false>;
-      case Opcode::FMNMX:
-        if (ins.cmp == CmpOp::LT)
-            return bi ? uFmnmx<true, true> : uFmnmx<false, true>;
-        return bi ? uFmnmx<true, false> : uFmnmx<false, false>;
-      case Opcode::FSETP:
-        return bi ? uFsetp<true> : uFsetp<false>;
-      case Opcode::MUFU:
-        return uMufu;
-      case Opcode::I2F:
-        return uI2f;
-      case Opcode::F2I:
-        return uF2i;
-      case Opcode::S2R:
-        switch (ins.sreg) {
-          case SpecialReg::TidX:
-          case SpecialReg::TidY:
-          case SpecialReg::TidZ:
-            return uS2rTid;
-          case SpecialReg::LaneId:
-            return uS2rLane;
-          case SpecialReg::Clock:
-            return nullptr;
-          default:
-            return uS2rUniform;
-        }
-      case Opcode::L2G:
-        return uL2g;
-      default:
-        return nullptr;
-    }
+    const auto dsts = ins.dstRegs();
+    const auto srcs = ins.srcRegs();
+    return std::all_of(dsts.begin(), dsts.end(), fits) &&
+           std::all_of(srcs.begin(), srcs.end(), fits);
 }
 
 ExecClass
@@ -676,12 +63,10 @@ MicroProgram::MicroProgram(const ir::Kernel &kernel,
         else
             u.guard = GuardKind::PerLane;
         u.countsAsMem = ins.isMem();
-        // Spill/fill-tagged ops feed dedicated launch metrics the
-        // batched run path does not update, so they stay generic.
-        if (u.cls == ExecClass::Alu && !ins.spillFill) {
-            u.alu = pickAluFn(kernel, ins);
+        if (u.cls == ExecClass::Alu && inBudget(kernel, ins)) {
+            u.alu = selectAluFn<LaneOne>(ins);
             if (u.alu != nullptr)
-                u.simd = simd::pickSimdFn(kernel, ins);
+                u.simd = simd::vectorAluFn(ins);
         }
     }
 
@@ -723,11 +108,13 @@ MicroProgram::MicroProgram(const ir::Kernel &kernel,
     // targets, and the instruction after any block terminator — is
     // a leader, so a warp can only ever land on a run's head;
     // mid-run pcs keep sb == 0 and fall back to generic stepping.
+    // Spill/fill-tagged ops feed dedicated launch metrics the batched
+    // run path does not update, so they stay on generic stepping.
     auto runnable = [&](size_t pc) {
         const MicroOp &u = uops_[pc];
         return u.cls == ExecClass::Alu &&
                u.guard == GuardKind::AlwaysOn && u.alu != nullptr &&
-               !fused[pc];
+               !kernel.code[pc].spillFill && !fused[pc];
     };
     size_t pc = 0;
     while (pc < n) {
@@ -970,36 +357,6 @@ UopCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries_.size();
-}
-
-bool
-resolveSuperblocks(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("SASSI_SIM_SUPERBLOCKS"))
-        return std::atoi(env) != 0;
-    return true;
-}
-
-bool
-resolveHandlerFastpath(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("SASSI_SIM_HANDLER_FASTPATH"))
-        return std::atoi(env) != 0;
-    return true;
-}
-
-bool
-resolveSimd(int requested)
-{
-    if (requested >= 0)
-        return requested != 0;
-    if (const char *env = std::getenv("SASSI_SIM_SIMD"))
-        return std::atoi(env) != 0;
-    return true;
 }
 
 } // namespace sassi::simt

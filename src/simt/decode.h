@@ -34,11 +34,13 @@
  *    The cache key includes the UopConfig, so programs compiled
  *    with and without site fusing coexist.
  *
- * The generic step() path is kept byte-for-byte as the fallback
- * (and as the whole path when SASSI_SIM_SUPERBLOCKS=0 or
- * SASSI_SIM_HANDLER_FASTPATH=0), so instrumentation sites,
- * divergence, faults, and statistics are observationally identical
- * with the fast paths on or off.
+ * The generic step() path runs the same ALU exec functions one
+ * instruction at a time, so it differs from a superblock run only
+ * in batching. It is the fallback for everything the fast paths
+ * skip, and the whole path when LaunchOptions::superblocks or
+ * handlerFastpath is 0; instrumentation sites, divergence, faults,
+ * and statistics are observationally identical with the fast paths
+ * on or off.
  */
 
 #ifndef SASSI_SIMT_DECODE_H
@@ -112,10 +114,11 @@ struct UopCtx
 /**
  * Exec function of one ALU-class micro-op: applies the instruction
  * to every lane set in exec. Specialized per (opcode, operand
- * facts) at compile time; only ever invoked from inside a
- * superblock run, where the guard is statically @PT and all operand
- * registers are proven in budget, so implementations skip the
- * per-access bounds checks the generic path performs.
+ * facts) at compile time (simt/alu_ops.h) and selected only for
+ * instructions whose registers are all inside the kernel's budget,
+ * so implementations skip per-access bounds checks. Superblock runs
+ * call it with the warp's active mask; generic step() calls it with
+ * the guard-evaluated exec mask, for any ALU op, guarded or not.
  */
 using AluFn = void (*)(const UopCtx &ctx, Warp &warp,
                        const sass::Instruction &ins, uint32_t exec);
@@ -123,13 +126,15 @@ using AluFn = void (*)(const UopCtx &ctx, Warp &warp,
 /** One flattened micro-op: statically resolved per-instruction facts. */
 struct MicroOp
 {
-    /** Direct exec function; null when the op has no fast path. */
+    /** Scalar exec function; null when the op has none (%clock, a
+     *  register out of budget, or not an ALU op). */
     AluFn alu = nullptr;
 
-    /** Lane-vectorized exec function (simt/simd/), same semantics
-     *  as alu; null when the op stays on the scalar tier. Which of
-     *  the two a superblock run calls is a per-launch decision
-     *  (resolveSimd), so programs are shared across simd on/off. */
+    /** Lane-vectorized exec function (simt/simd/), the same op body
+     *  as alu on the eight-lane pack; null when the op stays on the
+     *  scalar tier. Which of the two a superblock run calls is a
+     *  per-launch decision (LaunchOptions::simd), so programs are
+     *  shared across simd on/off. */
     AluFn simd = nullptr;
 
     ExecClass cls = ExecClass::Alu;
@@ -293,33 +298,6 @@ class UopCache
     std::map<uint64_t, Entry> entries_;
     Metrics metrics_;
 };
-
-/**
- * Resolve the superblock switch for one launch: a non-negative
- * LaunchOptions::superblocks wins; otherwise the
- * SASSI_SIM_SUPERBLOCKS environment variable ("0" disables);
- * otherwise on.
- */
-bool resolveSuperblocks(int requested);
-
-/**
- * Resolve the compiled-handler fast-path switch for one launch: a
- * non-negative LaunchOptions::handlerFastpath wins; otherwise the
- * SASSI_SIM_HANDLER_FASTPATH environment variable ("0" disables);
- * otherwise on. The fast path additionally requires superblocks to
- * be enabled (superblocks off selects the fully generic
- * interpreter, fused sites included).
- */
-bool resolveHandlerFastpath(int requested);
-
-/**
- * Resolve the SIMD-tier switch for one launch: a non-negative
- * LaunchOptions::simd wins; otherwise the SASSI_SIM_SIMD
- * environment variable ("0" disables); otherwise on. The caller
- * additionally requires superblocks (the SIMD tier runs under the
- * superblock executor) and simd::cpuHasAvx2().
- */
-bool resolveSimd(int requested);
 
 } // namespace sassi::simt
 

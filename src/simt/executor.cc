@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <bit>
 #include <cstring>
 
 #include "simt/simd/simd_exec.h"
@@ -30,63 +30,6 @@ void
 storeBytes(uint8_t *p, uint64_t v, int width)
 {
     std::memcpy(p, &v, static_cast<size_t>(std::min(width, 8)));
-}
-
-float
-asFloat(uint32_t bits)
-{
-    float f;
-    std::memcpy(&f, &bits, 4);
-    return f;
-}
-
-uint32_t
-asBits(float f)
-{
-    uint32_t b;
-    std::memcpy(&b, &f, 4);
-    return b;
-}
-
-bool
-cmpInt(CmpOp op, int64_t a, int64_t b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::NE: return a != b;
-      case CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-bool
-cmpFloat(CmpOp op, float a, float b)
-{
-    switch (op) {
-      case CmpOp::LT: return a < b;
-      case CmpOp::EQ: return a == b;
-      case CmpOp::LE: return a <= b;
-      case CmpOp::GT: return a > b;
-      case CmpOp::NE: return a != b;
-      case CmpOp::GE: return a >= b;
-    }
-    return false;
-}
-
-bool
-logicEval(LogicOp op, bool a, bool b)
-{
-    switch (op) {
-      case LogicOp::And: return a && b;
-      case LogicOp::Or: return a || b;
-      case LogicOp::Xor: return a != b;
-      case LogicOp::PassB: return b;
-      case LogicOp::Not: return !a;
-    }
-    return false;
 }
 
 uint32_t
@@ -142,11 +85,9 @@ Executor::fault(Outcome outcome, const std::string &message) const
 LaunchResult
 Executor::run()
 {
-    superblocks_on_ = resolveSuperblocks(opts_.superblocks);
-    handler_fastpath_on_ =
-        superblocks_on_ && resolveHandlerFastpath(opts_.handlerFastpath);
-    simd_on_ = superblocks_on_ && resolveSimd(opts_.simd) &&
-               simd::cpuHasAvx2();
+    superblocks_on_ = opts_.superblocks != 0;
+    handler_fastpath_on_ = superblocks_on_ && opts_.handlerFastpath != 0;
+    simd_on_ = superblocks_on_ && opts_.simd != 0 && simd::cpuHasAvx2();
     if (!prog_) {
         UopConfig cfg;
         cfg.fuseSites = handler_fastpath_on_;
@@ -757,333 +698,21 @@ Executor::execWarpOp(Warp &warp, const Instruction &ins, uint32_t exec)
 }
 
 void
-Executor::execAlu(Warp &warp, const Instruction &ins, uint32_t exec)
+Executor::execUncompiled(Warp &warp, const Instruction &ins,
+                         uint32_t exec)
 {
-    if (!exec)
+    if (ins.op == Opcode::S2R && ins.sreg == SpecialReg::Clock) {
+        for (uint32_t m = exec; m; m &= m - 1)
+            warp.setReg(std::countr_zero(m), ins.dst,
+                        static_cast<uint32_t>(stats_.warpInstrs));
         return;
-
-    // The opcode switch runs once per warp instruction; each case
-    // loops over the active lanes. Operand-B immediate selection is
-    // likewise resolved once.
-    const bool b_imm = ins.bIsImm;
-    const uint32_t imm_u = static_cast<uint32_t>(ins.imm);
-    auto srcB = [&](int lane) {
-        return b_imm ? imm_u : warp.reg(lane, ins.srcB);
-    };
-    auto eachLane = [&](auto &&body) {
-        for (int lane = 0; lane < WarpSize; ++lane)
-            if (exec & (1u << lane))
-                body(lane);
-    };
-
-    switch (ins.op) {
-      case Opcode::NOP:
-      case Opcode::MEMBAR:
-        break;
-      case Opcode::MOV:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst, warp.reg(lane, ins.srcA));
-        });
-        break;
-      case Opcode::MOV32I:
-        eachLane([&](int lane) { warp.setReg(lane, ins.dst, imm_u); });
-        break;
-      case Opcode::SEL:
-        eachLane([&](int lane) {
-            bool p = warp.pred(lane, ins.pSrc) != ins.pSrcNeg;
-            warp.setReg(lane, ins.dst,
-                        p ? warp.reg(lane, ins.srcA) : srcB(lane));
-        });
-        break;
-      case Opcode::IADD:
-      case Opcode::IADD32I: {
-        const bool use_cc = ins.useCC;
-        const bool set_cc = ins.setCC;
-        eachLane([&](int lane) {
-            uint64_t sum = static_cast<uint64_t>(warp.reg(lane, ins.srcA))
-                           + srcB(lane) +
-                           (use_cc && warp.cc(lane) ? 1u : 0u);
-            warp.setReg(lane, ins.dst, static_cast<uint32_t>(sum));
-            if (set_cc)
-                warp.setCC(lane, (sum >> 32) != 0);
-        });
-        break;
-      }
-      case Opcode::IMUL:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst,
-                        warp.reg(lane, ins.srcA) * srcB(lane));
-        });
-        break;
-      case Opcode::IMAD:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst,
-                        warp.reg(lane, ins.srcA) * srcB(lane) +
-                            warp.reg(lane, ins.srcC));
-        });
-        break;
-      case Opcode::IMNMX: {
-        const bool is_min = ins.cmp == CmpOp::LT;
-        eachLane([&](int lane) {
-            int32_t sa = static_cast<int32_t>(warp.reg(lane, ins.srcA));
-            int32_t sb = static_cast<int32_t>(srcB(lane));
-            warp.setReg(lane, ins.dst, static_cast<uint32_t>(
-                is_min ? std::min(sa, sb) : std::max(sa, sb)));
-        });
-        break;
-      }
-      case Opcode::SHL:
-        eachLane([&](int lane) {
-            uint32_t a = warp.reg(lane, ins.srcA);
-            uint32_t b = srcB(lane);
-            warp.setReg(lane, ins.dst, b >= 32 ? 0 : a << (b & 31));
-        });
-        break;
-      case Opcode::SHR:
-        if (ins.sExt) {
-            eachLane([&](int lane) {
-                uint32_t a = warp.reg(lane, ins.srcA);
-                warp.setReg(lane, ins.dst, static_cast<uint32_t>(
-                    static_cast<int32_t>(a) >>
-                    std::min<uint32_t>(srcB(lane), 31)));
-            });
-        } else {
-            eachLane([&](int lane) {
-                uint32_t a = warp.reg(lane, ins.srcA);
-                uint32_t b = srcB(lane);
-                warp.setReg(lane, ins.dst, b >= 32 ? 0 : a >> (b & 31));
-            });
-        }
-        break;
-      case Opcode::LOP:
-        switch (ins.logic) {
-          case LogicOp::And:
-            eachLane([&](int lane) {
-                warp.setReg(lane, ins.dst,
-                            warp.reg(lane, ins.srcA) & srcB(lane));
-            });
-            break;
-          case LogicOp::Or:
-            eachLane([&](int lane) {
-                warp.setReg(lane, ins.dst,
-                            warp.reg(lane, ins.srcA) | srcB(lane));
-            });
-            break;
-          case LogicOp::Xor:
-            eachLane([&](int lane) {
-                warp.setReg(lane, ins.dst,
-                            warp.reg(lane, ins.srcA) ^ srcB(lane));
-            });
-            break;
-          case LogicOp::PassB:
-            eachLane([&](int lane) {
-                warp.setReg(lane, ins.dst, srcB(lane));
-            });
-            break;
-          case LogicOp::Not:
-            eachLane([&](int lane) {
-                warp.setReg(lane, ins.dst, ~warp.reg(lane, ins.srcA));
-            });
-            break;
-        }
-        break;
-      case Opcode::POPC:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst, static_cast<uint32_t>(
-                popc(warp.reg(lane, ins.srcA))));
-        });
-        break;
-      case Opcode::FLO:
-        eachLane([&](int lane) {
-            uint32_t a = warp.reg(lane, ins.srcA);
-            uint32_t r = a == 0 ? 0xffffffffu
-                                : static_cast<uint32_t>(
-                                      31 - std::countl_zero(a));
-            warp.setReg(lane, ins.dst, r);
-        });
-        break;
-      case Opcode::ISETP:
-        if (ins.sExt) {
-            eachLane([&](int lane) {
-                bool result = cmpInt(
-                    ins.cmp,
-                    static_cast<int32_t>(warp.reg(lane, ins.srcA)),
-                    static_cast<int32_t>(srcB(lane)));
-                warp.setPred(lane, ins.pDst,
-                             result && (warp.pred(lane, ins.pSrc) !=
-                                        ins.pSrcNeg));
-            });
-        } else {
-            eachLane([&](int lane) {
-                bool result = cmpInt(ins.cmp, warp.reg(lane, ins.srcA),
-                                     srcB(lane));
-                warp.setPred(lane, ins.pDst,
-                             result && (warp.pred(lane, ins.pSrc) !=
-                                        ins.pSrcNeg));
-            });
-        }
-        break;
-      case Opcode::PSETP: {
-        const auto pb_id = static_cast<PredId>(ins.imm & 7);
-        const bool pb_neg = (ins.imm & 8) != 0;
-        eachLane([&](int lane) {
-            bool pa = warp.pred(lane, ins.pSrc) != ins.pSrcNeg;
-            bool pb = warp.pred(lane, pb_id) != pb_neg;
-            warp.setPred(lane, ins.pDst, logicEval(ins.logic, pa, pb));
-        });
-        break;
-      }
-      case Opcode::P2R:
-        eachLane([&](int lane) {
-            uint32_t bits = warp.predByte(lane);
-            if (warp.cc(lane))
-                bits |= 0x80;
-            warp.setReg(lane, ins.dst, bits & imm_u);
-        });
-        break;
-      case Opcode::R2P:
-        eachLane([&](int lane) {
-            uint32_t a = warp.reg(lane, ins.srcA);
-            for (PredId p = 0; p < NumPred; ++p) {
-                if (imm_u & (1u << p))
-                    warp.setPred(lane, p, a & (1u << p));
-            }
-            if (imm_u & 0x80)
-                warp.setCC(lane, a & 0x80);
-        });
-        break;
-      case Opcode::FADD:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst,
-                        asBits(asFloat(warp.reg(lane, ins.srcA)) +
-                               asFloat(srcB(lane))));
-        });
-        break;
-      case Opcode::FMUL:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst,
-                        asBits(asFloat(warp.reg(lane, ins.srcA)) *
-                               asFloat(srcB(lane))));
-        });
-        break;
-      case Opcode::FFMA:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst,
-                        asBits(asFloat(warp.reg(lane, ins.srcA)) *
-                                   asFloat(srcB(lane)) +
-                               asFloat(warp.reg(lane, ins.srcC))));
-        });
-        break;
-      case Opcode::FMNMX: {
-        const bool is_min = ins.cmp == CmpOp::LT;
-        eachLane([&](int lane) {
-            float fa = asFloat(warp.reg(lane, ins.srcA));
-            float fb = asFloat(srcB(lane));
-            warp.setReg(lane, ins.dst,
-                        asBits(is_min ? std::fmin(fa, fb)
-                                      : std::fmax(fa, fb)));
-        });
-        break;
-      }
-      case Opcode::FSETP:
-        eachLane([&](int lane) {
-            warp.setPred(lane, ins.pDst,
-                         cmpFloat(ins.cmp,
-                                  asFloat(warp.reg(lane, ins.srcA)),
-                                  asFloat(srcB(lane))) &&
-                             (warp.pred(lane, ins.pSrc) != ins.pSrcNeg));
-        });
-        break;
-      case Opcode::MUFU:
-        eachLane([&](int lane) {
-            float fa = asFloat(warp.reg(lane, ins.srcA));
-            float r = 0.f;
-            switch (ins.mufu) {
-              case MufuOp::Rcp: r = 1.0f / fa; break;
-              case MufuOp::Sqrt: r = std::sqrt(fa); break;
-              case MufuOp::Rsq: r = 1.0f / std::sqrt(fa); break;
-              case MufuOp::Lg2: r = std::log2(fa); break;
-              case MufuOp::Ex2: r = std::exp2(fa); break;
-              case MufuOp::Sin: r = std::sin(fa); break;
-              case MufuOp::Cos: r = std::cos(fa); break;
-            }
-            warp.setReg(lane, ins.dst, asBits(r));
-        });
-        break;
-      case Opcode::I2F:
-        eachLane([&](int lane) {
-            warp.setReg(lane, ins.dst,
-                        asBits(static_cast<float>(static_cast<int32_t>(
-                            warp.reg(lane, ins.srcA)))));
-        });
-        break;
-      case Opcode::F2I:
-        eachLane([&](int lane) {
-            float f = asFloat(warp.reg(lane, ins.srcA));
-            int32_t r;
-            if (std::isnan(f))
-                r = 0;
-            else if (f >= 2147483647.0f)
-                r = 2147483647;
-            else if (f <= -2147483648.0f)
-                r = -2147483647 - 1;
-            else
-                r = static_cast<int32_t>(f);
-            warp.setReg(lane, ins.dst, static_cast<uint32_t>(r));
-        });
-        break;
-      case Opcode::S2R: {
-        const SpecialReg sr = ins.sreg;
-        if (sr == SpecialReg::TidX || sr == SpecialReg::TidY ||
-            sr == SpecialReg::TidZ) {
-            eachLane([&](int lane) {
-                Dim3 tid = threadIdx(warp, lane);
-                uint32_t v = sr == SpecialReg::TidX   ? tid.x
-                             : sr == SpecialReg::TidY ? tid.y
-                                                      : tid.z;
-                warp.setReg(lane, ins.dst, v);
-            });
-        } else if (sr == SpecialReg::LaneId) {
-            eachLane([&](int lane) {
-                warp.setReg(lane, ins.dst, static_cast<uint32_t>(lane));
-            });
-        } else {
-            // Warp-invariant special registers: resolve once.
-            uint32_t v = 0;
-            switch (sr) {
-              case SpecialReg::CtaIdX: v = cta_.x; break;
-              case SpecialReg::CtaIdY: v = cta_.y; break;
-              case SpecialReg::CtaIdZ: v = cta_.z; break;
-              case SpecialReg::NTidX: v = block_.x; break;
-              case SpecialReg::NTidY: v = block_.y; break;
-              case SpecialReg::NTidZ: v = block_.z; break;
-              case SpecialReg::NCtaIdX: v = grid_.x; break;
-              case SpecialReg::NCtaIdY: v = grid_.y; break;
-              case SpecialReg::NCtaIdZ: v = grid_.z; break;
-              case SpecialReg::WarpId:
-                v = static_cast<uint32_t>(warp.rank);
-                break;
-              case SpecialReg::Clock:
-                v = static_cast<uint32_t>(stats_.warpInstrs);
-                break;
-              default: break;
-            }
-            eachLane([&](int lane) { warp.setReg(lane, ins.dst, v); });
-        }
-        break;
-      }
-      case Opcode::L2G:
-        eachLane([&](int lane) {
-            uint64_t g = localWindowAddr(warp, lane) +
-                         warp.reg(lane, ins.srcA);
-            warp.setReg(lane, ins.dst, lo32(g));
-            warp.setReg(lane, static_cast<RegId>(ins.dst + 1), hi32(g));
-        });
-        break;
-      default:
-        panic("execAlu: unhandled opcode %s",
-              std::string(opName(ins.op)).c_str());
     }
+    for (const auto &regs : {ins.srcRegs(), ins.dstRegs()})
+        for (RegId r : regs)
+            panic_if(r >= warp.numRegs, "register R%d out of budget %d",
+                     r, warp.numRegs);
+    panic("no exec function for ALU opcode %s",
+          std::string(opName(ins.op)).c_str());
 }
 
 void
@@ -1787,7 +1416,10 @@ Executor::step(Warp &warp)
         ++warp.pc;
         return;
       case ExecClass::Alu:
-        execAlu(warp, ins, exec);
+        if (dec.alu != nullptr)
+            dec.alu(uop_ctx_, warp, ins, exec);
+        else if (exec != 0)
+            execUncompiled(warp, ins, exec);
         ++warp.pc;
         return;
     }

@@ -252,7 +252,13 @@ class Executor
      *  epilogue's register effects from the compiled template. */
     void completeSiteRun(Warp &warp);
 
-    void execAlu(Warp &warp, const sass::Instruction &ins, uint32_t exec);
+    /**
+     * The ALU ops without an exec function (MicroOp::alu): an S2R of
+     * %clock, whose value is the live issue count, and an op naming
+     * a register outside the kernel's budget, which panics here.
+     */
+    void execUncompiled(Warp &warp, const sass::Instruction &ins,
+                        uint32_t exec);
     void execMem(Warp &warp, const sass::Instruction &ins, uint32_t exec);
     void execWarpOp(Warp &warp, const sass::Instruction &ins,
                     uint32_t exec);
@@ -288,7 +294,7 @@ class Executor
     std::shared_ptr<const MicroProgram> prog_;
 
     // Whether this launch takes the superblock fast path; resolved
-    // once per launch from opts_.superblocks / the environment.
+    // once per launch from opts_.superblocks.
     bool superblocks_on_ = true;
 
     // Whether this launch takes the compiled-handler fast path;
@@ -297,8 +303,8 @@ class Executor
     bool handler_fastpath_on_ = false;
 
     // Whether superblock runs call the lane-vectorized exec
-    // functions (simt/simd/); requires superblocks, resolveSimd,
-    // and AVX2 on this machine.
+    // functions (simt/simd/); requires superblocks, opts_.simd, and
+    // AVX2 on this machine.
     bool simd_on_ = false;
 
     // Dynamic compiled-handler dispatch counts of this worker,

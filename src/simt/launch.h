@@ -158,9 +158,8 @@ struct LaunchOptions
      * unpredicated ALU micro-ops in one batched loop (see
      * simt/decode.h). Observationally equivalent to the generic
      * path; 0 forces the generic per-instruction path everywhere
-     * (the differential-testing escape hatch), positive forces the
-     * fast path on, and negative (the default) defers to the
-     * SASSI_SIM_SUPERBLOCKS environment variable, defaulting to on.
+     * (the differential-testing escape hatch), and any other value
+     * (the default) turns the fast path on.
      */
     int superblocks = -1;
 
@@ -171,9 +170,8 @@ struct LaunchOptions
      * fiber round-trip (see simt/site_fuse.h). Observationally
      * equivalent to the fiber path; 0 forces every site through the
      * generic fiber dispatch (the differential-testing escape
-     * hatch), positive forces it on, and negative (the default)
-     * defers to the SASSI_SIM_HANDLER_FASTPATH environment variable,
-     * defaulting to on. Only effective when superblocks are enabled.
+     * hatch), and any other value (the default) turns it on. Only
+     * effective when superblocks are enabled.
      */
     int handlerFastpath = -1;
 
@@ -182,11 +180,10 @@ struct LaunchOptions
      * lanes at once with AVX2 (see simt/simd/simd_exec.h).
      * Observationally equivalent to the scalar tier; 0 forces every
      * uop through its scalar exec function (the
-     * differential-testing escape hatch), positive forces the tier
-     * on where supported, and negative (the default) defers to the
-     * SASSI_SIM_SIMD environment variable, defaulting to on. Only
-     * effective when superblocks are enabled and the machine has
-     * AVX2 — otherwise the scalar tier runs regardless.
+     * differential-testing escape hatch), and any other value (the
+     * default) turns the tier on. Only effective when superblocks
+     * are enabled and the machine has AVX2 — otherwise the scalar
+     * tier runs regardless.
      */
     int simd = -1;
 };

@@ -1,14 +1,11 @@
 #include "simt/simd/simd_exec.h"
 
-#include "simt/warp.h"
-
 #if defined(SASSI_SIMD_AVX2)
+#include "simt/alu_ops.h"
 #include "simt/simd/simd_vec.h"
 #endif
 
 namespace sassi::simt::simd {
-
-using namespace sass;
 
 bool
 cpuHasAvx2()
@@ -27,7 +24,7 @@ cpuHasAvx2()
 // machine that lacks it — that case is handled at launch time by
 // cpuHasAvx2().)
 AluFn
-pickSimdFn(const ir::Kernel &, const Instruction &)
+vectorAluFn(const sass::Instruction &)
 {
     return nullptr;
 }
@@ -36,449 +33,74 @@ pickSimdFn(const ir::Kernel &, const Instruction &)
 
 namespace {
 
-constexpr int NumChunks = WarpSize / 8;
-
-/** Chunk c of a source register (RZ reads a zero vector). */
-inline u32x8
-loadReg(const Warp &warp, RegId r, int c)
-{
-    if (r == RZ)
-        return u32x8::zero();
-    return u32x8::load(warp.laneSpan(r) + 8 * c);
-}
-
-template <bool BImm>
-inline u32x8
-loadSrcB(const Warp &warp, const Instruction &ins, int c)
-{
-    if constexpr (BImm)
-        return u32x8::splat(static_cast<uint32_t>(ins.imm));
-    else
-        return loadReg(warp, ins.srcB, c);
-}
-
-/** The 32-lane value of predicate p as a bitmask (PT reads all-on). */
-inline uint32_t
-predMask(const Warp &warp, PredId p, bool neg)
-{
-    uint32_t m = p == PT ? ~0u
-                         : warp.predBits[static_cast<size_t>(p)];
-    return neg ? ~m : m;
-}
+using sass::RegId;
+using sass::RZ;
 
 /**
- * Run `fn(chunk) -> u32x8` for the four chunks of the destination
- * register, storing each result under the exec mask. The full-mask
- * case (the overwhelmingly common one inside a converged
- * superblock) uses plain stores. Chunk c is stored before chunk
- * c + 1 of any source is loaded, but chunks of one span never
- * overlap, so dst aliasing a source is safe.
+ * Cursor over chunk c (lanes 8c..8c+7) of a warp operand. Full when
+ * exec covers every lane (the common case inside a converged
+ * superblock): stores are then plain, otherwise masked. Chunks of one
+ * register span never overlap, so a destination aliasing a source is
+ * safe.
  */
-template <typename Fn>
-inline void
-storeChunks(Warp &warp, RegId dst, uint32_t exec, Fn &&fn)
+template <bool Full>
+struct Chunk
 {
-    uint32_t *out = warp.laneSpan(dst);
-    if (exec == ~0u) {
-        for (int c = 0; c < NumChunks; ++c)
-            fn(c).store(out + 8 * c);
-    } else {
-        for (int c = 0; c < NumChunks; ++c)
-            fn(c).maskstore(out + 8 * c, chunkMask(exec, c));
+    Warp &warp;
+    int c;
+    uint32_t exec;
+
+    u32x8
+    ld(RegId r) const
+    {
+        return r == RZ ? u32x8::zero()
+                       : u32x8::load(warp.laneSpan(r) + 8 * c);
     }
-}
 
-/** Write a 32-lane predicate result under the exec mask. */
-inline void
-storePred(Warp &warp, PredId p, uint32_t value, uint32_t exec)
-{
-    if (p == PT)
-        return; // setPred(PT) discards.
-    uint32_t &bits = warp.predBits[static_cast<size_t>(p)];
-    bits = (bits & ~exec) | (value & exec);
-}
+    void
+    st(RegId r, u32x8 v) const
+    {
+        if constexpr (Full)
+            v.store(warp.laneSpan(r) + 8 * c);
+        else
+            v.maskstore(warp.laneSpan(r) + 8 * c, chunkMask(exec, c));
+    }
 
-void
-vNop(const UopCtx &, Warp &, const Instruction &, uint32_t)
-{
-}
+    static u32x8 imm(uint32_t v) { return u32x8::splat(v); }
+    uint32_t bits(u32x8 m) const { return m.bitmask() << (8 * c); }
 
-void
-vMov(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec,
-                [&](int c) { return loadReg(warp, ins.srcA, c); });
-}
+    u32x8
+    pick(uint32_t lanes, u32x8 a, u32x8 b) const
+    {
+        return u32x8::blend(chunkMask(lanes, c), a, b);
+    }
+};
 
-void
-vMov32i(const UopCtx &, Warp &warp, const Instruction &ins,
-        uint32_t exec)
+/** The eight-lane pack: four AVX2 chunks per 32-lane warp operand. */
+struct Lanes8
 {
-    const u32x8 imm = u32x8::splat(static_cast<uint32_t>(ins.imm));
-    storeChunks(warp, ins.dst, exec, [&](int) { return imm; });
-}
+    static constexpr bool Wide = true;
 
-template <bool BImm>
-void
-vSel(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    const uint32_t p = predMask(warp, ins.pSrc, ins.pSrcNeg);
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return u32x8::blend(chunkMask(p, c),
-                            loadReg(warp, ins.srcA, c),
-                            loadSrcB<BImm>(warp, ins, c));
-    });
-}
-
-template <bool BImm>
-void
-vIadd(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return loadReg(warp, ins.srcA, c) +
-               loadSrcB<BImm>(warp, ins, c);
-    });
-}
-
-template <bool BImm>
-void
-vImul(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return loadReg(warp, ins.srcA, c)
-            .mullo(loadSrcB<BImm>(warp, ins, c));
-    });
-}
-
-template <bool BImm>
-void
-vImad(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return loadReg(warp, ins.srcA, c)
-                   .mullo(loadSrcB<BImm>(warp, ins, c)) +
-               loadReg(warp, ins.srcC, c);
-    });
-}
-
-template <bool BImm, bool IsMin>
-void
-vImnmx(const UopCtx &, Warp &warp, const Instruction &ins,
-       uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        u32x8 a = loadReg(warp, ins.srcA, c);
-        u32x8 b = loadSrcB<BImm>(warp, ins, c);
-        return IsMin ? a.minS(b) : a.maxS(b);
-    });
-}
-
-template <bool BImm>
-void
-vShl(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return loadReg(warp, ins.srcA, c)
-            .shl(loadSrcB<BImm>(warp, ins, c));
-    });
-}
-
-template <bool BImm>
-void
-vShrU(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return loadReg(warp, ins.srcA, c)
-            .shrU(loadSrcB<BImm>(warp, ins, c));
-    });
-}
-
-template <bool BImm>
-void
-vShrS(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return loadReg(warp, ins.srcA, c)
-            .shrS(loadSrcB<BImm>(warp, ins, c));
-    });
-}
-
-template <bool BImm, LogicOp Op>
-void
-vLop(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) -> u32x8 {
-        if constexpr (Op == LogicOp::And)
-            return loadReg(warp, ins.srcA, c) &
-                   loadSrcB<BImm>(warp, ins, c);
-        else if constexpr (Op == LogicOp::Or)
-            return loadReg(warp, ins.srcA, c) |
-                   loadSrcB<BImm>(warp, ins, c);
-        else if constexpr (Op == LogicOp::Xor)
-            return loadReg(warp, ins.srcA, c) ^
-                   loadSrcB<BImm>(warp, ins, c);
-        else if constexpr (Op == LogicOp::PassB)
-            return loadSrcB<BImm>(warp, ins, c);
-        else // Not
-            return loadReg(warp, ins.srcA, c) ^
-                   u32x8::splat(~0u);
-    });
-}
-
-/**
- * ISETP: per-chunk compares compress to a 32-lane result bitmask
- * (movemask of the compare's all-ones lanes), and the combine with
- * the source predicate plus the masked write-back are then plain
- * 32-bit mask arithmetic — the payoff of bitmask predicates.
- * Unsigned compares bias both operands by 0x80000000 and reuse the
- * signed compare (the scalar path's zero-extended int64 compare is
- * exactly unsigned 32-bit).
- */
-template <bool BImm, bool Signed>
-void
-vIsetp(const UopCtx &, Warp &warp, const Instruction &ins,
-       uint32_t exec)
-{
-    const u32x8 bias = u32x8::splat(0x80000000u);
-    uint32_t gt = 0, eq = 0;
-    for (int c = 0; c < NumChunks; ++c) {
-        u32x8 a = loadReg(warp, ins.srcA, c);
-        u32x8 b = loadSrcB<BImm>(warp, ins, c);
-        if constexpr (!Signed) {
-            a = a ^ bias;
-            b = b ^ bias;
+    template <typename Body>
+    static void
+    each(Warp &warp, uint32_t exec, Body &&body)
+    {
+        if (exec == ~0u) {
+            for (int c = 0; c < WarpSize / 8; ++c)
+                body(Chunk<true>{warp, c, exec});
+        } else {
+            for (int c = 0; c < WarpSize / 8; ++c)
+                body(Chunk<false>{warp, c, exec});
         }
-        gt |= a.cmpgtS(b).bitmask() << (8 * c);
-        eq |= a.cmpeq(b).bitmask() << (8 * c);
     }
-    uint32_t result;
-    switch (ins.cmp) {
-      case CmpOp::LT: result = ~(gt | eq); break;
-      case CmpOp::EQ: result = eq; break;
-      case CmpOp::LE: result = ~gt; break;
-      case CmpOp::GT: result = gt; break;
-      case CmpOp::NE: result = ~eq; break;
-      case CmpOp::GE: result = gt | eq; break;
-      default: result = 0; break;
-    }
-    result &= predMask(warp, ins.pSrc, ins.pSrcNeg);
-    storePred(warp, ins.pDst, result, exec);
-}
-
-/** PSETP: 32 lanes of pure predicate logic in one mask expression. */
-void
-vPsetp(const UopCtx &, Warp &warp, const Instruction &ins,
-       uint32_t exec)
-{
-    const uint32_t pa = predMask(warp, ins.pSrc, ins.pSrcNeg);
-    const uint32_t pb =
-        predMask(warp, static_cast<PredId>(ins.imm & 7),
-                 (ins.imm & 8) != 0);
-    uint32_t result;
-    switch (ins.logic) {
-      case LogicOp::And: result = pa & pb; break;
-      case LogicOp::Or: result = pa | pb; break;
-      case LogicOp::Xor: result = pa ^ pb; break;
-      case LogicOp::PassB: result = pb; break;
-      case LogicOp::Not: result = ~pa; break;
-      default: result = 0; break;
-    }
-    storePred(warp, ins.pDst, result, exec);
-}
-
-/*
- * Float ops. FADD/FMUL single-instruction results are IEEE-defined,
- * so add_ps/mul_ps are bit-identical to the scalar expressions.
- * FFMA must stay mul-then-add with two roundings: the scalar tier
- * is compiled without FMA codegen, and intrinsics are never
- * contracted, so the vector result matches. (std::fmin/fmax NaN
- * semantics and F2I saturation don't map onto single AVX2 ops —
- * FMNMX/MUFU/F2I stay scalar.)
- */
-
-template <bool BImm>
-void
-vFadd(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return (f32x8::fromBits(loadReg(warp, ins.srcA, c)) +
-                f32x8::fromBits(loadSrcB<BImm>(warp, ins, c)))
-            .bits();
-    });
-}
-
-template <bool BImm>
-void
-vFmul(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return (f32x8::fromBits(loadReg(warp, ins.srcA, c)) *
-                f32x8::fromBits(loadSrcB<BImm>(warp, ins, c)))
-            .bits();
-    });
-}
-
-template <bool BImm>
-void
-vFfma(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return (f32x8::fromBits(loadReg(warp, ins.srcA, c)) *
-                    f32x8::fromBits(loadSrcB<BImm>(warp, ins, c)) +
-                f32x8::fromBits(loadReg(warp, ins.srcC, c)))
-            .bits();
-    });
-}
-
-/**
- * FSETP compare predicates matching the C++ operators of the scalar
- * path: ordered-quiet for LT/EQ/LE/GT/GE (false when unordered) and
- * unordered-quiet for NE (a != b is true when either is NaN).
- */
-inline uint32_t
-fcmpBits(CmpOp op, __m256 a, __m256 b)
-{
-    __m256 m;
-    switch (op) {
-      case CmpOp::LT: m = _mm256_cmp_ps(a, b, _CMP_LT_OQ); break;
-      case CmpOp::EQ: m = _mm256_cmp_ps(a, b, _CMP_EQ_OQ); break;
-      case CmpOp::LE: m = _mm256_cmp_ps(a, b, _CMP_LE_OQ); break;
-      case CmpOp::GT: m = _mm256_cmp_ps(a, b, _CMP_GT_OQ); break;
-      case CmpOp::NE: m = _mm256_cmp_ps(a, b, _CMP_NEQ_UQ); break;
-      case CmpOp::GE: m = _mm256_cmp_ps(a, b, _CMP_GE_OQ); break;
-      default: m = _mm256_setzero_ps(); break;
-    }
-    return static_cast<uint32_t>(_mm256_movemask_ps(m));
-}
-
-template <bool BImm>
-void
-vFsetp(const UopCtx &, Warp &warp, const Instruction &ins,
-       uint32_t exec)
-{
-    uint32_t result = 0;
-    for (int c = 0; c < NumChunks; ++c) {
-        __m256 a =
-            f32x8::fromBits(loadReg(warp, ins.srcA, c)).raw;
-        __m256 b =
-            f32x8::fromBits(loadSrcB<BImm>(warp, ins, c)).raw;
-        result |= fcmpBits(ins.cmp, a, b) << (8 * c);
-    }
-    result &= predMask(warp, ins.pSrc, ins.pSrcNeg);
-    storePred(warp, ins.pDst, result, exec);
-}
-
-void
-vI2f(const UopCtx &, Warp &warp, const Instruction &ins, uint32_t exec)
-{
-    storeChunks(warp, ins.dst, exec, [&](int c) {
-        return f32x8::fromI32(loadReg(warp, ins.srcA, c)).bits();
-    });
-}
+};
 
 } // namespace
 
 AluFn
-pickSimdFn(const ir::Kernel &, const Instruction &ins)
+vectorAluFn(const sass::Instruction &ins)
 {
-    // Register-writing ops with an RZ destination would discard;
-    // rare enough to leave to the scalar tier's wr() check.
-    const bool dst_rz = ins.dst == RZ;
-    const bool bi = ins.bIsImm;
-    switch (ins.op) {
-      case Opcode::NOP:
-      case Opcode::MEMBAR:
-        return vNop;
-      case Opcode::MOV:
-        return dst_rz ? nullptr : vMov;
-      case Opcode::MOV32I:
-        return dst_rz ? nullptr : vMov32i;
-      case Opcode::SEL:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vSel<true> : vSel<false>;
-      case Opcode::IADD:
-      case Opcode::IADD32I:
-        // The carry chain (X/CC variants) stays scalar: per-lane
-        // carry-out needs a widening add the 8x32 tier doesn't
-        // model, and CC-threaded adds are rare inside superblocks.
-        if (dst_rz || ins.useCC || ins.setCC)
-            return nullptr;
-        return bi ? vIadd<true> : vIadd<false>;
-      case Opcode::IMUL:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vImul<true> : vImul<false>;
-      case Opcode::IMAD:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vImad<true> : vImad<false>;
-      case Opcode::IMNMX:
-        if (dst_rz)
-            return nullptr;
-        if (ins.cmp == CmpOp::LT)
-            return bi ? vImnmx<true, true> : vImnmx<false, true>;
-        return bi ? vImnmx<true, false> : vImnmx<false, false>;
-      case Opcode::SHL:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vShl<true> : vShl<false>;
-      case Opcode::SHR:
-        if (dst_rz)
-            return nullptr;
-        if (ins.sExt)
-            return bi ? vShrS<true> : vShrS<false>;
-        return bi ? vShrU<true> : vShrU<false>;
-      case Opcode::LOP:
-        if (dst_rz)
-            return nullptr;
-        switch (ins.logic) {
-          case LogicOp::And:
-            return bi ? vLop<true, LogicOp::And>
-                      : vLop<false, LogicOp::And>;
-          case LogicOp::Or:
-            return bi ? vLop<true, LogicOp::Or>
-                      : vLop<false, LogicOp::Or>;
-          case LogicOp::Xor:
-            return bi ? vLop<true, LogicOp::Xor>
-                      : vLop<false, LogicOp::Xor>;
-          case LogicOp::PassB:
-            return bi ? vLop<true, LogicOp::PassB>
-                      : vLop<false, LogicOp::PassB>;
-          case LogicOp::Not:
-            return bi ? vLop<true, LogicOp::Not>
-                      : vLop<false, LogicOp::Not>;
-        }
-        return nullptr;
-      case Opcode::ISETP:
-        if (ins.sExt)
-            return bi ? vIsetp<true, true> : vIsetp<false, true>;
-        return bi ? vIsetp<true, false> : vIsetp<false, false>;
-      case Opcode::PSETP:
-        return vPsetp;
-      case Opcode::FADD:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vFadd<true> : vFadd<false>;
-      case Opcode::FMUL:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vFmul<true> : vFmul<false>;
-      case Opcode::FFMA:
-        if (dst_rz)
-            return nullptr;
-        return bi ? vFfma<true> : vFfma<false>;
-      case Opcode::FSETP:
-        return bi ? vFsetp<true> : vFsetp<false>;
-      case Opcode::I2F:
-        return dst_rz ? nullptr : vI2f;
-      default:
-        // POPC/FLO (no AVX2 per-lane popcount/clz), FMNMX/MUFU/F2I
-        // (NaN and saturation semantics), P2R/R2P (pred-file
-        // transposes), S2R/L2G (lane-id arithmetic), and the CC
-        // carry chain all stay on the scalar tier.
-        return nullptr;
-    }
+    return selectAluFn<Lanes8>(ins);
 }
 
 #endif // SASSI_SIMD_AVX2

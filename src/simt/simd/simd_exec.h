@@ -1,24 +1,22 @@
 /**
  * @file
- * Lane-vectorized exec functions for the superblock fast path.
+ * The lane-vectorized tier of the ALU micro-op exec functions.
  *
- * The scalar micro-op tier (simt/decode.cc) executes each ALU uop
- * with a per-lane loop; this tier executes the same uop for all 32
- * lanes at once with AVX2 — four 256-bit chunks per operand over
- * the register-major register file, predicates and the exec mask as
- * 32-bit lane bitmasks (simd/simd_vec.h). pickSimdFn() mirrors
- * pickAluFn(): it returns a function with the exact AluFn signature
- * and bit-identical semantics, or null when the op stays on the
- * scalar tier (CC-consuming adds, POPC/FLO, float min/max and
- * conversions with NaN edge cases, lane-id-dependent S2R/L2G).
+ * The scalar tier runs each ALU uop with a loop over the set lanes of
+ * exec; this tier runs the same uop for all 32 lanes at once with
+ * AVX2, four 256-bit chunks per operand over the register-major
+ * register file, predicates and the exec mask as 32-bit lane
+ * bitmasks (simd/simd_vec.h). Both tiers are instantiations of the
+ * same op bodies (simt/alu_ops.h): vectorAluFn() is selectAluFn over
+ * the eight-lane pack, null for ops that stay on the scalar tier.
  *
- * The implementation file is the only translation unit compiled
- * with -mavx2 (gated by the SASSI_SIMD_AVX2 configure check); on
- * hosts without that flag this header still compiles and
- * pickSimdFn() returns null for everything. Whether vector
- * functions are *called* is a launch-time decision
- * (resolveSimd × cpuHasAvx2, simt/decode.h), so a binary built
- * with AVX2 still runs on machines without it.
+ * The implementation file is, with site_frame.cc, the only
+ * translation unit compiled with -mavx2 (gated by the
+ * SASSI_SIMD_AVX2 configure check); on hosts without that flag this
+ * header still compiles and vectorAluFn() returns null for
+ * everything. Whether vector functions are *called* is a launch-time
+ * decision (LaunchOptions::simd and cpuHasAvx2(), in the executor),
+ * so a binary built with AVX2 still runs on machines without it.
  */
 
 #ifndef SASSI_SIMT_SIMD_SIMD_EXEC_H
@@ -34,11 +32,10 @@ bool cpuHasAvx2();
 /**
  * Select the lane-vectorized exec function for an ALU-class
  * instruction, or null when the op executes on the scalar tier.
- * Only called for instructions pickAluFn() accepted, so operand
- * registers are already proven inside the kernel's budget.
+ * Only called for instructions with a scalar exec function, so
+ * operand registers are already proven inside the kernel's budget.
  */
-AluFn pickSimdFn(const ir::Kernel &kernel,
-                 const sass::Instruction &ins);
+AluFn vectorAluFn(const sass::Instruction &ins);
 
 } // namespace sassi::simt::simd
 

@@ -145,10 +145,10 @@ TEST(SpillElision, TransparentAcrossTheWholeSuite)
         opts.registerInfo = true;
         opts.elideRedundantSpills = true;
         rt.instrument(opts);
-        rt.setBeforeHandler([](const core::HandlerEnv &) {},
-                            core::HandlerTraits{false, {}});
-        rt.setAfterHandler([](const core::HandlerEnv &) {},
-                           core::HandlerTraits{false, {}});
+        core::HandlerTraits traits;
+        traits.warpSynchronous = false;
+        rt.setBeforeHandler([](const core::HandlerEnv &) {}, traits);
+        rt.setAfterHandler([](const core::HandlerEnv &) {}, traits);
         simt::LaunchResult r = w->run(dev);
         ASSERT_TRUE(r.ok()) << entry.name << ": " << r.message;
         EXPECT_TRUE(w->verify(dev)) << entry.name;

@@ -78,8 +78,9 @@ withoutSimdPlane(const std::string &line)
 TEST(CorpusReplay, CoverageSignaturesMatchCommittedBaseline)
 {
     // coverage.expected is regenerated with:
-    //   sassi_fuzz --replay tests/fuzz/corpus/*.sass \
+    //   sassi_fuzz --replay tests/fuzz/corpus/*.sass
     //              --coverage-out tests/fuzz/corpus/coverage.expected
+    // (one command line).
     std::string path =
         std::string(SASSI_FUZZ_CORPUS_DIR) + "/coverage.expected";
     std::ifstream in(path);

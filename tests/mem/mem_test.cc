@@ -71,9 +71,10 @@ TEST_P(CoalesceProperty, MatchesBruteForceSet)
             EXPECT_EQ(all_lanes & cl.laneMask, 0u);
             all_lanes |= cl.laneMask;
             for (int lane = 0; lane < 32; ++lane) {
-                if (cl.laneMask & (1u << lane))
+                if (cl.laneMask & (1u << lane)) {
                     EXPECT_EQ(addrs[static_cast<size_t>(lane)] / line,
                               cl.line / line);
+                }
             }
         }
         EXPECT_EQ(all_lanes,

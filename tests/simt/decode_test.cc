@@ -3,13 +3,11 @@
  * Unit tests for the micro-op compiler (simt/decode.h): superblock
  * formation respects basic-block leaders, predication, and the
  * fast-path eligibility rules; the process-wide UopCache shares
- * compiled programs by content fingerprint; and the launch-time
- * superblock switch resolves option > environment > default.
+ * compiled programs by content fingerprint.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "sassir/builder.h"
@@ -204,6 +202,27 @@ TEST(MicroProgram, ClockReadHasNoFastPath)
     EXPECT_EQ(prog2.superblock(1).len, 2u);
 }
 
+TEST(MicroProgram, SpillFillAluOpRunsItsExecFunctionOffSuperblocks)
+{
+    // A spill/fill-tagged ALU op feeds the spill metrics generic
+    // stepping charges, so it splits superblocks; generic step()
+    // still runs it through its exec function.
+    KernelBuilder kb("spill");
+    kb.mov32i(4, 1);
+    kb.iadd(5, 4, 4);
+    kb.iadd(6, 5, 4);
+    kb.iadd(7, 6, 4);
+    kb.exit();
+    ir::Kernel k = kb.finish();
+    k.code[2].spillFill = true;
+
+    MicroProgram prog(k);
+    EXPECT_NE(prog.at(2).alu, nullptr);
+    ASSERT_EQ(prog.superblocks().size(), 1u);
+    EXPECT_EQ(prog.superblock(1).start, 0u);
+    EXPECT_EQ(prog.superblock(1).len, 2u);
+}
+
 TEST(UopCache, HitSharesCompiledProgram)
 {
     UopCache &cache = UopCache::global();
@@ -263,30 +282,6 @@ TEST(UopCache, RewrittenKernelRecompilesAndInvalidates)
               2u);
     EXPECT_EQ(cache.invalidate("rewritten"), 0u);
     cache.clear();
-}
-
-TEST(ResolveSuperblocks, OptionBeatsEnvironmentBeatsDefault)
-{
-    const char *saved = std::getenv("SASSI_SIM_SUPERBLOCKS");
-    std::string saved_value = saved ? saved : "";
-
-    unsetenv("SASSI_SIM_SUPERBLOCKS");
-    EXPECT_TRUE(resolveSuperblocks(-1)); // Default: on.
-    EXPECT_FALSE(resolveSuperblocks(0)); // Option forces off.
-    EXPECT_TRUE(resolveSuperblocks(1));
-
-    setenv("SASSI_SIM_SUPERBLOCKS", "0", 1);
-    EXPECT_FALSE(resolveSuperblocks(-1)); // Env escape hatch.
-    EXPECT_TRUE(resolveSuperblocks(1));   // Option still wins.
-    EXPECT_FALSE(resolveSuperblocks(0));
-
-    setenv("SASSI_SIM_SUPERBLOCKS", "1", 1);
-    EXPECT_TRUE(resolveSuperblocks(-1));
-
-    if (saved)
-        setenv("SASSI_SIM_SUPERBLOCKS", saved_value.c_str(), 1);
-    else
-        unsetenv("SASSI_SIM_SUPERBLOCKS");
 }
 
 } // namespace

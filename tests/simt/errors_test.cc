@@ -71,6 +71,31 @@ TEST(Errors, ParserRejectsBadOperandArity)
                 ::testing::ExitedWithCode(1), "expects");
 }
 
+TEST(Errors, ParserRejectsRegisterBeyondDeclaredBudget)
+{
+    EXPECT_EXIT(ir::parseAssembly(".kernel k\n.regs 18\n"
+                                  "    MOV R30, R1\n    EXIT\n"),
+                ::testing::ExitedWithCode(1), "R30 beyond .regs 18");
+}
+
+TEST(Errors, AluRegisterOutOfBudgetPanics)
+{
+    // Only a hand-built kernel can name a register beyond its budget
+    // (the parser rejects one); the op has no exec function and the
+    // generic path reports the invariant violation.
+    KernelBuilder kb("k");
+    kb.mov(30, 4);
+    kb.exit();
+    ir::Kernel k = kb.finish();
+    k.numRegs = 18;
+    ir::Module mod;
+    mod.kernels.push_back(std::move(k));
+    Device dev;
+    dev.loadModule(std::move(mod));
+    EXPECT_DEATH(dev.launch("k", Dim3(1), Dim3(32), KernelArgs()),
+                 "register R30 out of budget 18");
+}
+
 TEST(Errors, UnboundBuilderLabelPanics)
 {
     EXPECT_DEATH(

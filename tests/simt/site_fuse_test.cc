@@ -237,8 +237,9 @@ TEST(SiteFuseTemplate, IdentityMarkingIsExact)
         // The pred/CC restores reload full-file spills taken before
         // anything in the bundle could change them, so with a clean
         // frame both are no-ops.
-        if (run.restorePred)
+        if (run.restorePred) {
             EXPECT_TRUE(run.restorePredIdentity);
+        }
     }
 }
 

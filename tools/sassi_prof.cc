@@ -16,12 +16,11 @@
  *     --csv          emit CSV instead of an aligned table
  *     --no-json      skip the BENCH_simt.json merge
  *     --no-superblocks  force the generic per-instruction
- *                    interpreter path (SASSI_SIM_SUPERBLOCKS=0)
+ *                    interpreter path
  *     --no-handler-fastpath  keep fused instrumentation sites on the
  *                    generic fiber dispatch path
  *     --no-simd      run every uop on its scalar exec function
  *                    instead of the AVX2 lane-vectorized tier
- *                    (SASSI_SIM_SIMD=0)
  *
  * The table includes the process-wide micro-op compiler counters
  * ("uop/...": compile/hit/entry counts, superblock statics and
