@@ -17,13 +17,22 @@ dispatch()
     return ds;
 }
 
-/** Bounds-checked host pointer to device global memory. */
+/**
+ * Bounds-checked host pointer to device global memory. A bad address
+ * is a memory fault of the launch, as it would be on the GPU, where
+ * the handler runs as part of the kernel.
+ */
 uint8_t *
 devPtr(uint64_t addr, size_t n)
 {
     uint8_t *p = dispatch()->exec->device().globalPtr(addr, n);
-    fatal_if(!p, "handler accessed invalid device address 0x%llx",
-             static_cast<unsigned long long>(addr));
+    if (!p) {
+        throw simt::SimFault{
+            simt::Outcome::MemFault,
+            detail::strFormat("handler accessed invalid device address "
+                              "0x%llx",
+                              static_cast<unsigned long long>(addr))};
+    }
     return p;
 }
 
@@ -69,7 +78,7 @@ rendezvous(uint64_t value, const FiberGroup::Reducer &reducer)
     panic_if(!ds->fibers || !ds->fibers->inFiber(),
              "warp intrinsic outside fiber execution (a handler "
              "marked reentrantSafe must not rendezvous; use its "
-             "warpHandler body instead)");
+             "warpFn body instead)");
     return ds->fibers->barrier(value, reducer);
 }
 
@@ -186,11 +195,8 @@ countAdd64(uint64_t addr, uint64_t v)
     // Validate eagerly so a bad counter address faults at the
     // handler site, exactly where atomicAdd64 would have; only the
     // visibility of the add is deferred.
-    core::DispatchState *ds = dispatch();
-    uint8_t *p = ds->exec->device().globalPtr(addr, 8);
-    fatal_if(!p, "handler accessed invalid device address 0x%llx",
-             static_cast<unsigned long long>(addr));
-    ds->exec->counterShard().add(addr, v);
+    devPtr(addr, 8);
+    dispatch()->exec->counterShard().add(addr, v);
 }
 
 uint32_t

@@ -1,7 +1,9 @@
 #include "core/runtime.h"
 
 #include <array>
+#include <bit>
 #include <memory>
+#include <optional>
 
 #include "util/bitops.h"
 #include "util/logging.h"
@@ -55,7 +57,7 @@ metricsCache(simt::Executor &exec, size_t num_sites)
     return *static_cast<SiteMetricsCache *>(slot.get());
 }
 
-/** Per-dispatch counter bumps, shared by both dispatch paths. */
+/** Per-dispatch counter bumps. */
 void
 noteDispatch(simt::Executor &exec, SiteMetricsCache &cache,
              const SiteInfo &site, int32_t site_key,
@@ -74,7 +76,7 @@ noteDispatch(simt::Executor &exec, SiteMetricsCache &cache,
 }
 
 /**
- * Per-worker environment arena for the inline dispatch path. The
+ * Per-worker environment arena for fused-site dispatch. The
  * expensive parts of a HandlerEnv — four param-view constructors and
  * four Dim3 copies per lane — are invariant across every dispatch of
  * one (site, executor, warp, CTA); only the frame location moves.
@@ -86,9 +88,9 @@ noteDispatch(simt::Executor &exec, SiteMetricsCache &cache,
 struct EnvArena
 {
     std::array<HandlerEnv, sass::WarpSize> envs;
-    const SiteInfo *site = nullptr;
-    simt::Executor *exec = nullptr;
-    simt::Warp *warp = nullptr;
+    const SiteInfo *keySite = nullptr;
+    simt::Executor *keyExec = nullptr;
+    simt::Warp *keyWarp = nullptr;
     uint64_t seq = 0; //!< exec->launchSeq(): no cross-launch alias.
     uint64_t cta = ~0ull;
     uint32_t boundMask = 0; //!< Lanes fully bound under this key.
@@ -101,6 +103,37 @@ struct EnvArena
      * case for a site re-dispatched in a loop with a stable R1.
      */
     std::array<uint64_t, sass::WarpSize> frames;
+
+    /** Point the active lanes' environments at this dispatch's
+     *  frames, rebinding only what the key or frame changed. */
+    const HandlerEnv *
+    refresh(simt::Executor &exec, simt::Warp &warp,
+            const SiteInfo &site, const uint64_t *frame_addr,
+            uint8_t *const *frame_host)
+    {
+        if (keySite != &site || keyExec != &exec || keyWarp != &warp ||
+            seq != exec.launchSeq() || cta != exec.ctaLinear()) {
+            keySite = &site;
+            keyExec = &exec;
+            keyWarp = &warp;
+            seq = exec.launchSeq();
+            cta = exec.ctaLinear();
+            boundMask = 0;
+        }
+        for (uint32_t m = warp.activeMask; m; m &= m - 1) {
+            const int lane = std::countr_zero(m);
+            const auto l = static_cast<size_t>(lane);
+            if (!(boundMask & (1u << lane))) {
+                envs[l].bind(exec, warp, lane, site, frame_addr[l],
+                             frame_host[l]);
+                boundMask |= 1u << lane;
+            } else if (frames[l] != frame_addr[l]) {
+                envs[l].rebindFrame(frame_addr[l], frame_host[l]);
+            }
+            frames[l] = frame_addr[l];
+        }
+        return envs.data();
+    }
 };
 
 /**
@@ -160,60 +193,7 @@ SassiRuntime::addSite(SiteInfo site)
     site.metricFlavor =
         std::string("core/dispatch/flavor/") + flavorName(site.flavor);
     sites_.push_back(std::move(site));
-    records_dirty_ = true; // sites_ may have reallocated.
     return static_cast<int32_t>(sites_.size()) - 1;
-}
-
-void
-SassiRuntime::prepareLaunch()
-{
-    if (!records_dirty_ && records_.size() == sites_.size())
-        return;
-    records_.clear();
-    records_.reserve(sites_.size());
-    for (const SiteInfo &site : sites_) {
-        SiteDispatchRecord r;
-        r.site = &site;
-        bool is_after = site.flavor == SiteFlavor::After;
-        const Handler &handler = is_after ? after_ : before_;
-        const HandlerTraits &traits =
-            is_after ? after_traits_ : before_traits_;
-        r.handler = handler ? &handler : nullptr;
-        r.traits = &traits;
-        r.hasFilter = static_cast<bool>(traits.warpFilter);
-        r.warpSynchronous = traits.warpSynchronous;
-        if (traits.warpFn) {
-            r.warpFn = traits.warpFn;
-            r.warpCtx = traits.warpCtx;
-        } else if (traits.warpHandler) {
-            // Trampoline over the std::function form: the context is
-            // the function object itself, which outlives the records
-            // (it lives in the traits the runtime owns).
-            r.warpFn = [](const void *ctx, const WarpHandlerEnv &we) {
-                (*static_cast<const WarpHandler *>(ctx))(we);
-            };
-            r.warpCtx = &traits.warpHandler;
-        }
-        // A null handler (metrics-only dispatch) always qualifies;
-        // otherwise the handler must be reentrant-safe and, when
-        // warp-synchronous, supply a warp-level body (there are no
-        // fibers to rendezvous through inline).
-        r.inlineOk = !r.handler ||
-                     (traits.reentrantSafe &&
-                      (!traits.warpSynchronous || r.warpFn != nullptr));
-        records_.push_back(r);
-    }
-    records_dirty_ = false;
-}
-
-const SiteDispatchRecord &
-SassiRuntime::record(int32_t site_key)
-{
-    // Dirty only between registration and the next launch; launches
-    // are serialized, so a rebuild here never races a worker.
-    if (records_dirty_ || records_.size() != sites_.size())
-        prepareLaunch();
-    return records_.at(static_cast<size_t>(site_key));
 }
 
 void
@@ -238,12 +218,25 @@ SassiRuntime::instrument(const InstrumentOptions &opts)
     }
 }
 
-void
-SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
-                       int32_t site_key)
+bool
+SassiRuntime::inlineDispatchable(int32_t site_key)
 {
-    const SiteDispatchRecord &rec = record(site_key);
-    const SiteInfo &site = *rec.site;
+    // A null handler (metrics-only dispatch) always qualifies;
+    // otherwise the handler must be reentrant-safe and, when
+    // warp-synchronous, supply a warp-level body (there are no
+    // fibers to rendezvous through inline).
+    const Slot &s = slot(sites_.at(static_cast<size_t>(site_key)));
+    return !s.handler ||
+           (s.traits.reentrantSafe &&
+            (!s.traits.warpSynchronous || s.traits.warpFn));
+}
+
+bool
+SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
+                       int32_t site_key, const uint64_t *frame_addr,
+                       uint8_t *const *frame_host, bool fused)
+{
+    const SiteInfo &site = sites_.at(static_cast<size_t>(site_key));
     exec.chargeHandlerCost(opts_.handlerCostInstrs);
 
     // Dynamic per-site counts go into the worker's launch-registry
@@ -251,49 +244,44 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
     noteDispatch(exec, metricsCache(exec, sites_.size()), site,
                  site_key, warp.activeMask);
 
-    if (!rec.handler)
-        return;
-    const Handler &handler = *rec.handler;
-    const HandlerTraits &traits = *rec.traits;
-    if (rec.hasFilter && !traits.warpFilter(exec, warp, site))
-        return;
+    const Handler &handler = slot(site).handler;
+    const HandlerTraits &traits = slot(site).traits;
+    if (!handler)
+        return false;
+    if (traits.warpFilter && !traits.warpFilter(exec, warp, site))
+        return false;
 
-    // One fiber group per OS thread: parallel CTA workers dispatch
-    // concurrently, and ucontext fiber state must never be shared
-    // (or migrated) across threads. The dispatch state is likewise
-    // thread-local so its 32 lane environments (and the lane list)
-    // are allocated once per thread, not once per site call;
-    // dispatches never nest (handlers are host closures).
-    static thread_local FiberGroup fibers;
-    static thread_local DispatchState ds_storage;
-    static thread_local std::vector<int> lanes_storage;
-
-    DispatchState &ds = ds_storage;
+    // Per-thread dispatch state: parallel CTA workers dispatch
+    // concurrently, and dispatches never nest (handlers are host
+    // closures).
+    static thread_local DispatchState ds;
     ds.exec = &exec;
-    ds.warp = &warp;
-    ds.site = &site;
-    ds.activeMask = warp.activeMask;
-    ds.fibers = &fibers;
-    ds.faulted = false;
-    if (ds.envs.size() != static_cast<size_t>(sass::WarpSize))
-        ds.envs.resize(sass::WarpSize); // Sized once per thread.
+    ds.fibers = nullptr;
+    ds.frameWritten = false;
 
-    std::vector<int> &lanes = lanes_storage;
-    lanes.clear();
-    for (int lane = 0; lane < sass::WarpSize; ++lane) {
-        if (!(warp.activeMask & (1u << lane)))
-            continue;
-        lanes.push_back(lane);
-
-        // The injected ABI sequence passed the bp pointer in R4:R5
-        // (second pointer, aux block, in R6:R7 — it is bp + 0x60, so
-        // the frame base is all the views need).
-        uint64_t frame =
-            makeU64(warp.reg(lane, sass::abi::Arg0Lo),
-                    warp.reg(lane, sass::abi::Arg0Lo + 1));
-
-        ds.envs[static_cast<size_t>(lane)].bind(exec, warp, lane, site,
-                                                frame, nullptr);
+    // Where the environments come from. A fused site reuses its
+    // per-(site, warp) arena. A generic JCAL rebinds its active
+    // lanes in one per-thread array: an arena pool there would keep
+    // ~8.5 KB per (site, warp rank) alive for the thread's lifetime,
+    // for dispatches (the error-injection campaigns) that mostly
+    // touch each pair once.
+    const HandlerEnv *envs;
+    if (fused) {
+        static thread_local ArenaPool arena_pool;
+        envs = arena_pool
+                   .at(static_cast<size_t>(site_key),
+                       static_cast<size_t>(warp.rank))
+                   .refresh(exec, warp, site, frame_addr, frame_host);
+    } else {
+        static thread_local std::array<HandlerEnv, sass::WarpSize>
+            generic_envs;
+        for (uint32_t m = warp.activeMask; m; m &= m - 1) {
+            const int lane = std::countr_zero(m);
+            generic_envs[static_cast<size_t>(lane)].bind(
+                exec, warp, lane, site,
+                frame_addr[static_cast<size_t>(lane)], nullptr);
+        }
+        envs = generic_envs.data();
     }
 
     // Handler wall-clock goes to the timeline only — never into the
@@ -302,149 +290,42 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
     const bool traced = trace.enabled();
     const uint64_t t0 = traced ? trace.nowNs() : 0;
 
-    tl_dispatch = &ds;
-    if (traits.warpSynchronous) {
-        fibers.run(lanes, [&](int lane) {
-            try {
-                handler(ds.envs[static_cast<size_t>(lane)]);
-            } catch (const simt::SimFault &f) {
-                // Never unwind across the fiber boundary; rethrow
-                // after the fiber group drains.
-                if (!ds.faulted) {
-                    ds.faulted = true;
-                    ds.fault = f;
-                }
-            }
-        });
-    } else {
-        // Fast path for handlers with no warp-wide intrinsics:
-        // iterate the lanes directly.
-        try {
-            for (int lane : lanes)
-                handler(ds.envs[static_cast<size_t>(lane)]);
-        } catch (const simt::SimFault &f) {
-            ds.faulted = true;
-            ds.fault = f;
-        }
-    }
-    tl_dispatch = nullptr;
-
-    if (traced) {
-        trace.complete(
-            detail::strFormat("%s@%d %s", site.kernelName.c_str(),
-                              site.origPc, flavorName(site.flavor)),
-            "handler", exec.traceTid(), t0, trace.nowNs() - t0,
-            {{"site", static_cast<uint64_t>(site_key)},
-             {"lanes", static_cast<uint64_t>(lanes.size())}});
-    }
-
-    if (ds.faulted)
-        throw ds.fault;
-}
-
-bool
-SassiRuntime::inlineDispatchable(int32_t site_key)
-{
-    return record(site_key).inlineOk;
-}
-
-bool
-SassiRuntime::dispatchInline(simt::Executor &exec, simt::Warp &warp,
-                             int32_t site_key,
-                             const uint64_t *frame_addr,
-                             uint8_t *const *frame_host)
-{
-    // Mirrors dispatch() observationally: identical handler cost,
-    // identical registry updates (same precomputed keys), identical
-    // handler effects and fault surfacing — minus the fiber group,
-    // which is the entire point. The executor's fused-site path only
-    // calls this after inlineDispatchable() said yes.
-    const SiteDispatchRecord &rec = record(site_key);
-    const SiteInfo &site = *rec.site;
-    exec.chargeHandlerCost(opts_.handlerCostInstrs);
-
-    noteDispatch(exec, metricsCache(exec, sites_.size()), site,
-                 site_key, warp.activeMask);
-
-    if (!rec.handler)
-        return false;
-    const Handler &handler = *rec.handler;
-    if (rec.hasFilter &&
-        !rec.traits->warpFilter(exec, warp, site))
-        return false;
-
-    static thread_local DispatchState ds_storage;
-    static thread_local ArenaPool arena_pool;
-    DispatchState &ds = ds_storage;
-    EnvArena &arena =
-        arena_pool.at(static_cast<size_t>(site_key),
-                      static_cast<size_t>(warp.rank));
-    ds.exec = &exec;
-    ds.warp = &warp;
-    ds.site = &site;
-    ds.activeMask = warp.activeMask;
-    ds.fibers = nullptr; // Inline: warp intrinsics must not be used.
-    ds.frameWritten = false;
-    ds.faulted = false;
-
-    if (arena.site != &site || arena.exec != &exec ||
-        arena.warp != &warp || arena.seq != exec.launchSeq() ||
-        arena.cta != exec.ctaLinear()) {
-        arena.site = &site;
-        arena.exec = &exec;
-        arena.warp = &warp;
-        arena.seq = exec.launchSeq();
-        arena.cta = exec.ctaLinear();
-        arena.boundMask = 0;
-    }
-    for (int lane = 0; lane < sass::WarpSize; ++lane) {
-        uint32_t bit = 1u << lane;
-        if (!(warp.activeMask & bit))
-            continue;
-        // The fused path hands the frame's generic address and host
-        // pointer directly — the ABI argument registers have not
-        // been written (their L2G is replayed with the rest of the
-        // epilogue effects after the handler returns).
-        HandlerEnv &env = arena.envs[static_cast<size_t>(lane)];
-        if (arena.boundMask & bit) {
-            if (arena.frames[static_cast<size_t>(lane)] !=
-                frame_addr[lane]) {
-                env.rebindFrame(frame_addr[lane], frame_host[lane]);
-                arena.frames[static_cast<size_t>(lane)] =
-                    frame_addr[lane];
-            }
-        } else {
-            env.bind(exec, warp, lane, site, frame_addr[lane],
-                     frame_host[lane]);
-            arena.frames[static_cast<size_t>(lane)] =
-                frame_addr[lane];
-            arena.boundMask |= bit;
-        }
-    }
-
-    Trace &trace = Trace::global();
-    const bool traced = trace.enabled();
-    const uint64_t t0 = traced ? trace.nowNs() : 0;
-
+    // How the lanes run. The first lane fault is kept and rethrown
+    // once every lane has stopped: never unwind across a fiber.
+    std::optional<simt::SimFault> fault;
+    const auto noteFault = [&](const simt::SimFault &f) {
+        if (!fault)
+            fault = f;
+    };
     tl_dispatch = &ds;
     try {
-        // Prefer the warp-level body whenever one is provided (even
-        // for lane-iterating handlers): its contract is observational
-        // identity, and one call per warp beats 32.
-        if (rec.warpFn) {
-            WarpHandlerEnv we;
-            we.envs = arena.envs.data();
-            we.activeMask = ds.activeMask;
-            rec.warpFn(rec.warpCtx, we);
+        if (fused && traits.warpFn) {
+            // One warp-level call beats 32 lane calls; its contract
+            // is observational identity with the per-lane body.
+            traits.warpFn(traits.warpCtx,
+                          WarpHandlerEnv{envs, warp.activeMask});
+        } else if (!fused && traits.warpSynchronous) {
+            // One fiber group per OS thread: ucontext fiber state
+            // must never be shared (or migrated) across threads.
+            static thread_local FiberGroup fibers;
+            static thread_local std::vector<int> lanes;
+            lanes.clear();
+            for (uint32_t m = warp.activeMask; m; m &= m - 1)
+                lanes.push_back(std::countr_zero(m));
+            ds.fibers = &fibers;
+            fibers.run(lanes, [&](int lane) {
+                try {
+                    handler(envs[static_cast<size_t>(lane)]);
+                } catch (const simt::SimFault &f) {
+                    noteFault(f);
+                }
+            });
         } else {
-            for (int lane = 0; lane < sass::WarpSize; ++lane) {
-                if (warp.activeMask & (1u << lane))
-                    handler(arena.envs[static_cast<size_t>(lane)]);
-            }
+            for (uint32_t m = warp.activeMask; m; m &= m - 1)
+                handler(envs[static_cast<size_t>(std::countr_zero(m))]);
         }
     } catch (const simt::SimFault &f) {
-        ds.faulted = true;
-        ds.fault = f;
+        noteFault(f);
     }
     tl_dispatch = nullptr;
 
@@ -457,8 +338,8 @@ SassiRuntime::dispatchInline(simt::Executor &exec, simt::Warp &warp,
              {"lanes", static_cast<uint64_t>(popc(warp.activeMask))}});
     }
 
-    if (ds.faulted)
-        throw ds.fault;
+    if (fault)
+        throw *fault;
     return ds.frameWritten;
 }
 

@@ -6,11 +6,15 @@
  * In the real tool, handlers are CUDA functions compiled with
  * -maxrregcount=16 and linked with nvlink (paper Figure 1); the
  * injected JCAL transfers control to them on the GPU. Here the
- * handler bodies are host C++ closures executed on one fiber per
- * active lane, so warp-wide intrinsics (__ballot, __shfl, __all)
- * synchronize exactly as they would on hardware, and all parameter
- * data still flows through the simulated stack frames the injected
- * SASS materialized.
+ * handler bodies are host C++ closures, and all parameter data still
+ * flows through the simulated stack frames the injected SASS
+ * materialized. Every site call, whether the executor reaches it by
+ * a generic JCAL or through a fused site, goes through one dispatch
+ * body (SassiRuntime::dispatch). A warp-synchronous handler on the
+ * generic path runs on one fiber per active lane, so warp-wide
+ * intrinsics (__ballot, __shfl, __all) synchronize exactly as they
+ * would on hardware; a fused site instead calls the handler's
+ * warp-level body (HandlerTraits::warpFn) once per warp.
  */
 
 #ifndef SASSI_CORE_RUNTIME_H
@@ -88,7 +92,7 @@ struct HandlerEnv
 using Handler = std::function<void(const HandlerEnv &)>;
 
 /**
- * Warp-level view handed to a HandlerTraits::warpHandler: the
+ * Warp-level view handed to a HandlerTraits::warpFn: the
  * per-lane environments (indexed by lane id; only activeMask lanes
  * are populated) of one dispatch. The warp handler sees all lanes
  * at once, so it can compute ballots/reductions directly instead of
@@ -100,16 +104,12 @@ struct WarpHandlerEnv
     uint32_t activeMask = 0;
 };
 
-/** Warp-level handler: one invocation per active warp per site. */
-using WarpHandler = std::function<void(const WarpHandlerEnv &)>;
-
 /**
- * Devirtualized warp-level handler: a plain function pointer plus an
- * opaque context, so the fused-site fast path's per-dispatch cost is
- * one predictable indirect call (no std::function dispatch). The
- * bundled tools register this form directly; a std::function
- * WarpHandler still works through a trampoline whose context is the
- * function object itself.
+ * Warp-level handler: one invocation per active warp per site. A
+ * plain function pointer plus an opaque context (HandlerTraits::
+ * warpCtx, usually the tool or its device state), so the
+ * fused-site path's per-dispatch cost is one predictable indirect
+ * call.
  */
 using WarpHandlerFn = void (*)(const void *ctx,
                                const WarpHandlerEnv &we);
@@ -131,8 +131,8 @@ struct HandlerTraits
      * Whether the handler may be invoked inline from the
      * interpreter's fused-site fast path (simt/site_fuse.h), with no
      * fiber group backing it. An inline-safe handler must never
-     * suspend (no warp-rendezvous intrinsics outside warpHandler)
-     * and must not read scratch registers that were not spilled for
+     * suspend (no warp-rendezvous intrinsics outside warpFn) and
+     * must not read scratch registers that were not spilled for
      * the call: the fused path calls it before the ABI scratch
      * registers (R2-R13) take their post-prologue values, so
      * SASSIRegisterParams reads of unspilled scratch registers would
@@ -148,17 +148,12 @@ struct HandlerTraits
      * warpSynchronous handler to qualify for inline dispatch: the
      * fused path cannot rendezvous lanes through fibers, so the
      * handler author supplies the whole-warp computation explicitly.
-     * Must be observationally identical to running the per-lane
-     * handler on fibers (same device writes, same order of atomics
-     * per warp).
-     */
-    WarpHandler warpHandler;
-
-    /**
-     * Devirtualized form of warpHandler: when warpFn is set it is
-     * preferred over the std::function (warpCtx is passed through
-     * verbatim). The two must be behaviorally identical when both
-     * are present.
+     * A fused site prefers it over the per-lane handler whenever it
+     * is set; the generic path always runs the per-lane handler, so
+     * the fast path off checks one against the other. Must be
+     * observationally identical to running the per-lane handler on
+     * fibers (same device writes, same order of atomics per warp).
+     * warpCtx is passed through verbatim.
      */
     WarpHandlerFn warpFn = nullptr;
     const void *warpCtx = nullptr;
@@ -179,46 +174,17 @@ struct HandlerTraits
 struct DispatchState
 {
     simt::Executor *exec = nullptr;
-    simt::Warp *warp = nullptr;
-    const SiteInfo *site = nullptr;
-    uint32_t activeMask = 0;
-    FiberGroup *fibers = nullptr;
-    std::vector<HandlerEnv> envs; //!< Indexed by lane id.
+    FiberGroup *fibers = nullptr; //!< Null unless lanes run on fibers.
     /** Set by the params/intrinsics write paths when the handler
      *  stores into device memory the site frame could alias (the
      *  frame itself or the lane-local window). Clear at the end of
-     *  an inline dispatch means the epilogue's identity fills can
-     *  be skipped. */
+     *  a fused dispatch means the epilogue's identity fills can be
+     *  skipped. */
     bool frameWritten = false;
-    bool faulted = false;
-    simt::SimFault fault{simt::Outcome::Ok, ""};
 };
 
 /** @return the dispatch currently executing on this thread. */
 DispatchState *currentDispatch();
-
-/**
- * Per-site dispatch plan, resolved once per launch (prepareLaunch)
- * instead of per dispatch: the flavor-selected handler and traits,
- * the devirtualized warp-handler target, and the pre-computed
- * inline-dispatchability answer. Everything the hot path previously
- * re-derived from sites_.at() + trait checks + std::function probes
- * is a flat indexed load here.
- */
-struct SiteDispatchRecord
-{
-    const SiteInfo *site = nullptr;
-    const Handler *handler = nullptr; //!< Null when no handler set.
-    const HandlerTraits *traits = nullptr;
-    /** Resolved warp-level entry: direct warpFn, or a trampoline
-     *  over the std::function warpHandler (ctx = the function
-     *  object). Null when the site has no warp-level body. */
-    WarpHandlerFn warpFn = nullptr;
-    const void *warpCtx = nullptr;
-    bool inlineOk = false;     //!< inlineDispatchable() answer.
-    bool hasFilter = false;    //!< traits->warpFilter set.
-    bool warpSynchronous = true;
-};
 
 /**
  * One SASSI instrumentation session over one device's module.
@@ -244,18 +210,14 @@ class SassiRuntime : public simt::HandlerDispatcher
     void
     setBeforeHandler(Handler h, HandlerTraits traits = {})
     {
-        before_ = std::move(h);
-        before_traits_ = std::move(traits);
-        records_dirty_ = true;
+        before_ = {std::move(h), std::move(traits)};
     }
 
     /** Install the handler for after sites. */
     void
     setAfterHandler(Handler h, HandlerTraits traits = {})
     {
-        after_ = std::move(h);
-        after_traits_ = std::move(traits);
-        records_dirty_ = true;
+        after_ = {std::move(h), std::move(traits)};
     }
 
     /** Register a site (used by the pass). @return its key. */
@@ -286,47 +248,54 @@ class SassiRuntime : public simt::HandlerDispatcher
     /** @return the attached device. */
     simt::Device &device() { return dev_; }
 
-    void dispatch(simt::Executor &exec, simt::Warp &warp,
-                  int32_t site_key) override;
-
     /**
-     * Rebuild the per-site dispatch records. Launches are serialized
-     * by the device, so this runs with no worker threads alive; the
-     * records stay valid (and lock-free to read) for the whole
-     * launch because handler registration mid-launch is not
-     * supported.
+     * The one dispatch body: charges the modeled handler cost, bumps
+     * the "core/..." registry, applies the warp filter, runs the
+     * handler with a DispatchState published to the intrinsics, and
+     * rethrows the first lane fault once every lane has stopped.
+     * Only two things differ between the paths. A fused site's
+     * environments come from a per-(site, warp) arena; a generic
+     * JCAL rebinds its active lanes in one per-thread array. A fused
+     * site calls warpFn when set and otherwise loops over the lanes;
+     * a generic JCAL runs a warp-synchronous handler on fibers and
+     * otherwise loops over the lanes.
      */
-    void prepareLaunch() override;
+    bool dispatch(simt::Executor &exec, simt::Warp &warp,
+                  int32_t site_key, const uint64_t *frame_addr,
+                  uint8_t *const *frame_host, bool fused) override;
 
     /**
      * A site is inline-dispatchable when its handler is marked
      * reentrantSafe and either iterates lanes directly
-     * (!warpSynchronous) or supplies a warpHandler; a null handler
+     * (!warpSynchronous) or supplies a warpFn; a null handler
      * (metrics-only dispatch) always qualifies.
      */
     bool inlineDispatchable(int32_t site_key) override;
 
-    bool dispatchInline(simt::Executor &exec, simt::Warp &warp,
-                        int32_t site_key, const uint64_t *frame_addr,
-                        uint8_t *const *frame_host) override;
-
   private:
+    /** A registered handler and its traits. */
+    struct Slot
+    {
+        Handler handler; //!< Empty: metrics-only dispatch.
+        HandlerTraits traits;
+    };
+
+    /** @return the slot serving a site: after sites take the after
+     *  handler, every other flavor the before handler. Handlers are
+     *  not re-registered mid-launch, so workers read it lock-free. */
+    const Slot &
+    slot(const SiteInfo &site) const
+    {
+        return site.flavor == SiteFlavor::After ? after_ : before_;
+    }
+
     simt::Device &dev_;
     std::vector<SiteInfo> sites_;
-    Handler before_;
-    Handler after_;
-    HandlerTraits before_traits_;
-    HandlerTraits after_traits_;
+    Slot before_;
+    Slot after_;
     InstrumentOptions opts_;
     Metrics static_metrics_;
     bool instrumented_ = false;
-
-    /** @return the dispatch record for site_key, building the table
-     *  first if registration changed since the last launch. */
-    const SiteDispatchRecord &record(int32_t site_key);
-
-    std::vector<SiteDispatchRecord> records_;
-    bool records_dirty_ = true;
 };
 
 /**

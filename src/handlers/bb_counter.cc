@@ -6,6 +6,31 @@
 
 namespace sassi::handlers {
 
+namespace {
+
+/**
+ * Warp-level form of the block-header handler for the fused-site
+ * path (ctx = the DevHashTable): the flavor test and block key are
+ * warp-uniform, so the ballot collapses to the active mask and the
+ * per-lane thread-entry adds to one add of popc(active) — same table
+ * state, same counter sums.
+ */
+void
+blockCounterWarpBody(const void *ctx, const core::WarpHandlerEnv &we)
+{
+    auto *table = static_cast<DevHashTable *>(const_cast<void *>(ctx));
+    uint32_t active = we.activeMask;
+    const core::HandlerEnv &lead =
+        we.envs[static_cast<size_t>(cuda::ffs(active) - 1)];
+    if (lead.site->flavor != core::SiteFlavor::BlockHeader)
+        return;
+    uint64_t stats = table->findOrInsert(lead.bp.GetInsAddr());
+    cuda::countAdd64(stats, 1);
+    cuda::countAdd64(stats + 8, static_cast<uint64_t>(cuda::popc(active)));
+}
+
+} // namespace
+
 BlockCounter::BlockCounter(simt::Device &dev, core::SassiRuntime &rt,
                            uint32_t table_capacity)
     : table_(dev, table_capacity, 2)
@@ -13,21 +38,8 @@ BlockCounter::BlockCounter(simt::Device &dev, core::SassiRuntime &rt,
     DevHashTable *table = &table_;
     core::HandlerTraits traits;
     traits.reentrantSafe = true;
-    // Warp-level body for the fused fast path: the flavor test and
-    // block key are warp-uniform, so the ballot collapses to the
-    // active mask and the per-lane thread-entry adds to one add of
-    // popc(active) — same table state, same counter sums.
-    traits.warpHandler = [table](const core::WarpHandlerEnv &we) {
-        uint32_t active = we.activeMask;
-        const core::HandlerEnv &lead =
-            we.envs[static_cast<size_t>(cuda::ffs(active) - 1)];
-        if (lead.site->flavor != core::SiteFlavor::BlockHeader)
-            return;
-        uint64_t stats = table->findOrInsert(lead.bp.GetInsAddr());
-        cuda::countAdd64(stats, 1);
-        cuda::countAdd64(stats + 8,
-                          static_cast<uint64_t>(cuda::popc(active)));
-    };
+    traits.warpFn = blockCounterWarpBody;
+    traits.warpCtx = table;
     rt.setBeforeHandler([table](const core::HandlerEnv &env) {
         if (env.site->flavor != core::SiteFlavor::BlockHeader)
             return;

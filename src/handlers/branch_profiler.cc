@@ -18,6 +18,42 @@ enum : uint32_t {
     PayloadWords,
 };
 
+/**
+ * Warp-level form of the Figure 4 handler for the fused-site path
+ * (ctx = the DevHashTable): the three ballots become direct mask
+ * computations over the lane environments; only the leader's table
+ * lookup and five adds touch the device, exactly as in the per-lane
+ * body.
+ */
+void
+branchProfilerWarpBody(const void *ctx, const core::WarpHandlerEnv &we)
+{
+    auto *table = static_cast<DevHashTable *>(const_cast<void *>(ctx));
+    uint32_t active = we.activeMask;
+    uint32_t taken = 0;
+    for (int lane = 0; lane < 32; ++lane) {
+        if (!(active & (1u << lane)))
+            continue;
+        if (we.envs[static_cast<size_t>(lane)].brp.GetDirection())
+            taken |= 1u << lane;
+    }
+    uint32_t ntaken = active & ~taken;
+    int num_active = cuda::popc(active);
+    int num_taken = cuda::popc(taken);
+    int num_not_taken = cuda::popc(ntaken);
+    const core::HandlerEnv &lead =
+        we.envs[static_cast<size_t>(cuda::ffs(active) - 1)];
+    uint64_t stats = table->findOrInsert(lead.bp.GetInsAddr());
+    cuda::countAdd64(stats + PTotal * 8, 1);
+    cuda::countAdd64(stats + PActive * 8,
+                     static_cast<uint64_t>(num_active));
+    cuda::countAdd64(stats + PTaken * 8, static_cast<uint64_t>(num_taken));
+    cuda::countAdd64(stats + PNotTaken * 8,
+                     static_cast<uint64_t>(num_not_taken));
+    if (num_taken != num_active && num_not_taken != num_active)
+        cuda::countAdd64(stats + PDivergent * 8, 1);
+}
+
 } // namespace
 
 BranchProfiler::BranchProfiler(simt::Device &dev, core::SassiRuntime &rt,
@@ -27,36 +63,8 @@ BranchProfiler::BranchProfiler(simt::Device &dev, core::SassiRuntime &rt,
     DevHashTable *table = &table_;
     core::HandlerTraits traits;
     traits.reentrantSafe = true;
-    // Warp-level body for the fused fast path: the three ballots
-    // become direct mask computations over the lane environments;
-    // only the leader's table lookup and five adds touch the device,
-    // exactly as in the per-lane body below.
-    traits.warpHandler = [table](const core::WarpHandlerEnv &we) {
-        uint32_t active = we.activeMask;
-        uint32_t taken = 0;
-        for (int lane = 0; lane < 32; ++lane) {
-            if (!(active & (1u << lane)))
-                continue;
-            if (we.envs[static_cast<size_t>(lane)].brp.GetDirection())
-                taken |= 1u << lane;
-        }
-        uint32_t ntaken = active & ~taken;
-        int num_active = cuda::popc(active);
-        int num_taken = cuda::popc(taken);
-        int num_not_taken = cuda::popc(ntaken);
-        const core::HandlerEnv &lead =
-            we.envs[static_cast<size_t>(cuda::ffs(active) - 1)];
-        uint64_t stats = table->findOrInsert(lead.bp.GetInsAddr());
-        cuda::countAdd64(stats + PTotal * 8, 1);
-        cuda::countAdd64(stats + PActive * 8,
-                          static_cast<uint64_t>(num_active));
-        cuda::countAdd64(stats + PTaken * 8,
-                          static_cast<uint64_t>(num_taken));
-        cuda::countAdd64(stats + PNotTaken * 8,
-                          static_cast<uint64_t>(num_not_taken));
-        if (num_taken != num_active && num_not_taken != num_active)
-            cuda::countAdd64(stats + PDivergent * 8, 1);
-    };
+    traits.warpFn = branchProfilerWarpBody;
+    traits.warpCtx = table;
     rt.setBeforeHandler([table](const core::HandlerEnv &env) {
         // Figure 4: the conditional-branch analysis handler.
         int thread_idx_in_warp = env.lane;

@@ -4,6 +4,54 @@
 
 namespace sassi::handlers {
 
+namespace {
+
+/**
+ * Figure 3, verbatim logic, for n threads at env's instruction:
+ * overlapping category counters bumped with blind adds (countAdd64
+ * defers visibility to launch end — the host only reads them after
+ * the launch, and sharded adds commute to the same totals).
+ */
+void
+countCategories(uint64_t counters, const core::HandlerEnv &env,
+                uint64_t n)
+{
+    const auto &bp = env.bp;
+    const auto &mp = env.mp;
+    if (bp.IsMem()) {
+        cuda::countAdd64(counters + InstrCounter::Memory * 8, n);
+        if (mp.GetWidth() > 4 /*bytes*/)
+            cuda::countAdd64(counters + InstrCounter::ExtendedMemory * 8,
+                             n);
+    }
+    if (bp.IsControlXfer())
+        cuda::countAdd64(counters + InstrCounter::ControlXfer * 8, n);
+    if (bp.IsSync())
+        cuda::countAdd64(counters + InstrCounter::Sync * 8, n);
+    if (bp.IsNumeric())
+        cuda::countAdd64(counters + InstrCounter::Numeric * 8, n);
+    if (bp.IsTexture())
+        cuda::countAdd64(counters + InstrCounter::Texture * 8, n);
+    cuda::countAdd64(counters + InstrCounter::TotalExecuted * 8, n);
+}
+
+/**
+ * Warp-level form for the fused-site path (ctx = the counter block's
+ * device address): every category test reads only the
+ * (lane-invariant) instruction encoding, so the per-lane +1 adds
+ * collapse to one +num_active per category.
+ */
+void
+instrCounterWarpBody(const void *ctx, const core::WarpHandlerEnv &we)
+{
+    countCategories(
+        *static_cast<const uint64_t *>(ctx),
+        we.envs[static_cast<size_t>(cuda::ffs(we.activeMask) - 1)],
+        static_cast<uint64_t>(cuda::popc(we.activeMask)));
+}
+
+} // namespace
+
 InstrCounter::InstrCounter(simt::Device &dev, core::SassiRuntime &rt)
     : dev_(dev)
 {
@@ -14,52 +62,10 @@ InstrCounter::InstrCounter(simt::Device &dev, core::SassiRuntime &rt)
     core::HandlerTraits traits;
     traits.warpSynchronous = false; // Figure 3 uses only atomics.
     traits.reentrantSafe = true;    // ...so it can run inline, too.
-    // Warp-level body for the fused fast path: every category test
-    // reads only the (lane-invariant) instruction encoding, so the
-    // 32 per-lane +1 atomics collapse to one +num_active per
-    // category. Same final counter values, observationally.
-    traits.warpHandler = [counters](const core::WarpHandlerEnv &we) {
-        auto n =
-            static_cast<uint64_t>(cuda::popc(we.activeMask));
-        const core::HandlerEnv &lead =
-            we.envs[static_cast<size_t>(cuda::ffs(we.activeMask) - 1)];
-        const auto &bp = lead.bp;
-        if (bp.IsMem()) {
-            cuda::countAdd64(counters + Memory * 8, n);
-            if (lead.mp.GetWidth() > 4 /*bytes*/)
-                cuda::countAdd64(counters + ExtendedMemory * 8, n);
-        }
-        if (bp.IsControlXfer())
-            cuda::countAdd64(counters + ControlXfer * 8, n);
-        if (bp.IsSync())
-            cuda::countAdd64(counters + Sync * 8, n);
-        if (bp.IsNumeric())
-            cuda::countAdd64(counters + Numeric * 8, n);
-        if (bp.IsTexture())
-            cuda::countAdd64(counters + Texture * 8, n);
-        cuda::countAdd64(counters + TotalExecuted * 8, n);
-    };
+    traits.warpFn = instrCounterWarpBody;
+    traits.warpCtx = &counters_;
     rt.setBeforeHandler([counters](const core::HandlerEnv &env) {
-        // Figure 3, verbatim logic: overlapping category counters
-        // bumped with blind adds (countAdd64 defers visibility to
-        // launch end — the host only reads them after the launch,
-        // and sharded adds commute to the same totals).
-        const auto &bp = env.bp;
-        const auto &mp = env.mp;
-        if (bp.IsMem()) {
-            cuda::countAdd64(counters + Memory * 8, 1);
-            if (mp.GetWidth() > 4 /*bytes*/)
-                cuda::countAdd64(counters + ExtendedMemory * 8, 1);
-        }
-        if (bp.IsControlXfer())
-            cuda::countAdd64(counters + ControlXfer * 8, 1);
-        if (bp.IsSync())
-            cuda::countAdd64(counters + Sync * 8, 1);
-        if (bp.IsNumeric())
-            cuda::countAdd64(counters + Numeric * 8, 1);
-        if (bp.IsTexture())
-            cuda::countAdd64(counters + Texture * 8, 1);
-        cuda::countAdd64(counters + TotalExecuted * 8, 1);
+        countCategories(counters, env, 1);
     }, traits);
 }
 

@@ -4,6 +4,61 @@
 
 namespace sassi::handlers {
 
+namespace {
+
+/**
+ * Warp-level form of the Figure 6 handler for the fused-site path
+ * (ctx = the counter matrix's device address). The per-lane body's
+ * early-outs happen before its first ballot, so the rendezvous set
+ * is the lanes passing all three filters; here that set is computed
+ * directly, and the leader-election loop walks the collected line
+ * addresses instead of shuffling them.
+ */
+void
+memDivWarpBody(const void *ctx, const core::WarpHandlerEnv &we)
+{
+    const uint64_t counters = *static_cast<const uint64_t *>(ctx);
+    uint32_t parts = 0;
+    uint32_t lines[32] = {};
+    for (int lane = 0; lane < 32; ++lane) {
+        if (!(we.activeMask & (1u << lane)))
+            continue;
+        const core::HandlerEnv &env = we.envs[static_cast<size_t>(lane)];
+        if (!env.bp.GetInstrWillExecute())
+            continue;
+        if (env.bp.IsSpillOrFill())
+            continue;
+        int64_t addr_as_int = env.mp.GetAddress();
+        if (!cuda::isGlobal(addr_as_int))
+            continue;
+        lines[lane] = static_cast<uint32_t>(
+            static_cast<uint64_t>(addr_as_int) >>
+            MemDivProfiler::OffsetBits);
+        parts |= 1u << lane;
+    }
+    if (!parts)
+        return;
+    int num_active = cuda::popc(parts);
+    unsigned unique = 0;
+    uint32_t workset = parts;
+    while (workset) {
+        int leader = cuda::ffs(workset) - 1;
+        uint32_t leaders_addr = lines[leader];
+        uint32_t matches = 0;
+        for (int lane = 0; lane < 32; ++lane) {
+            if ((parts & (1u << lane)) && lines[lane] == leaders_addr)
+                matches |= 1u << lane;
+        }
+        workset &= ~matches;
+        unique++;
+    }
+    uint64_t cell = counters +
+        (static_cast<uint64_t>(num_active - 1) * 32 + (unique - 1)) * 8;
+    cuda::countAdd64(cell, 1);
+}
+
+} // namespace
+
 MemDivProfiler::MemDivProfiler(simt::Device &dev, core::SassiRuntime &rt)
     : dev_(dev)
 {
@@ -13,52 +68,8 @@ MemDivProfiler::MemDivProfiler(simt::Device &dev, core::SassiRuntime &rt)
     uint64_t counters = counters_;
     core::HandlerTraits traits;
     traits.reentrantSafe = true;
-    // Warp-level body for the fused fast path. The per-lane body's
-    // early-outs happen before its first ballot, so the rendezvous
-    // set is the lanes passing all three filters; here that set is
-    // computed directly, and the leader-election loop walks the
-    // collected line addresses instead of shuffling them.
-    traits.warpHandler = [counters](const core::WarpHandlerEnv &we) {
-        uint32_t parts = 0;
-        uint32_t lines[32] = {};
-        for (int lane = 0; lane < 32; ++lane) {
-            if (!(we.activeMask & (1u << lane)))
-                continue;
-            const core::HandlerEnv &env =
-                we.envs[static_cast<size_t>(lane)];
-            if (!env.bp.GetInstrWillExecute())
-                continue;
-            if (env.bp.IsSpillOrFill())
-                continue;
-            int64_t addr_as_int = env.mp.GetAddress();
-            if (!cuda::isGlobal(addr_as_int))
-                continue;
-            lines[lane] = static_cast<uint32_t>(
-                static_cast<uint64_t>(addr_as_int) >> OffsetBits);
-            parts |= 1u << lane;
-        }
-        if (!parts)
-            return;
-        int num_active = cuda::popc(parts);
-        unsigned unique = 0;
-        uint32_t workset = parts;
-        while (workset) {
-            int leader = cuda::ffs(workset) - 1;
-            uint32_t leaders_addr = lines[leader];
-            uint32_t matches = 0;
-            for (int lane = 0; lane < 32; ++lane) {
-                if ((parts & (1u << lane)) &&
-                    lines[lane] == leaders_addr)
-                    matches |= 1u << lane;
-            }
-            workset &= ~matches;
-            unique++;
-        }
-        uint64_t cell = counters +
-            (static_cast<uint64_t>(num_active - 1) * 32 +
-             (unique - 1)) * 8;
-        cuda::countAdd64(cell, 1);
-    };
+    traits.warpFn = memDivWarpBody;
+    traits.warpCtx = &counters_;
     rt.setBeforeHandler([counters](const core::HandlerEnv &env) {
         // Figure 6: the memory-divergence handler. Note that unlike
         // the branch handler, lanes whose guard predicate is false

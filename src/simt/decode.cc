@@ -309,38 +309,30 @@ UopCache::clear()
 }
 
 void
-UopCache::noteRuns(uint64_t runs, uint64_t instrs)
+UopCache::noteUsage(const DispatchUsage &u)
 {
-    if (!runs)
-        return;
     std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.counter("uop/dynamic/superblock_runs") += runs;
-    metrics_.counter("uop/dynamic/superblock_instrs") += instrs;
-}
-
-void
-UopCache::noteSimd(uint64_t vector_uops, uint64_t scalar_uops)
-{
-    if (!vector_uops && !scalar_uops)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.counter("uop/simd/vector_uops") += vector_uops;
-    metrics_.counter("uop/simd/scalar_uops") += scalar_uops;
-}
-
-void
-UopCache::noteHandlerCalls(uint64_t inline_calls, uint64_t fiber_calls,
-                           uint64_t fallbacks,
-                           uint64_t inline_spill_bytes)
-{
-    if (!inline_calls && !fiber_calls && !fallbacks)
-        return;
-    std::lock_guard<std::mutex> lock(mutex_);
-    metrics_.counter("uop/handler/inline_calls") += inline_calls;
-    metrics_.counter("uop/handler/fiber_calls") += fiber_calls;
-    metrics_.counter("uop/handler/inline_fallbacks") += fallbacks;
-    metrics_.counter("uop/handler/inline_spill_bytes") +=
-        inline_spill_bytes;
+    if (u.superblockRuns) {
+        metrics_.counter("uop/dynamic/superblock_runs") +=
+            u.superblockRuns;
+        metrics_.counter("uop/dynamic/superblock_instrs") +=
+            u.superblockInstrs;
+    }
+    if (u.vectorUops || u.scalarUops) {
+        metrics_.counter("uop/simd/vector_uops") += u.vectorUops;
+        metrics_.counter("uop/simd/scalar_uops") += u.scalarUops;
+    }
+    if (u.inlineHandlerCalls || u.fiberHandlerCalls ||
+        u.inlineFallbacks) {
+        metrics_.counter("uop/handler/inline_calls") +=
+            u.inlineHandlerCalls;
+        metrics_.counter("uop/handler/fiber_calls") +=
+            u.fiberHandlerCalls;
+        metrics_.counter("uop/handler/inline_fallbacks") +=
+            u.inlineFallbacks;
+        metrics_.counter("uop/handler/inline_spill_bytes") +=
+            u.inlineSpillBytes;
+    }
 }
 
 Metrics

@@ -57,6 +57,7 @@
 
 #include "sassir/module.h"
 #include "simt/dim3.h"
+#include "simt/launch.h"
 #include "simt/site_fuse.h"
 #include "util/metrics.h"
 
@@ -258,20 +259,12 @@ class UopCache
     /** Drop every entry and reset the counters (tests). */
     void clear();
 
-    /** Credit dynamic superblock executions from a finished launch. */
-    void noteRuns(uint64_t runs, uint64_t instrs);
-
-    /** Credit uop dispatches from a finished launch that ran with
-     *  the SIMD tier enabled: uops executed lane-vectorized vs uops
-     *  that fell back to their scalar exec function. */
-    void noteSimd(uint64_t vector_uops, uint64_t scalar_uops);
-
-    /** Credit handler dispatches from a finished launch: inline
-     *  (fused) calls, fiber-path calls, sites that hit a fused head
-     *  but fell back, and frame-template bytes written inline. */
-    void noteHandlerCalls(uint64_t inline_calls, uint64_t fiber_calls,
-                          uint64_t fallbacks,
-                          uint64_t inline_spill_bytes);
+    /** Credit a finished launch's dispatch-plane usage: superblock
+     *  runs, SIMD-tier vector vs scalar uops, and handler dispatches
+     *  (inline, fiber, fused heads that fell back, and frame-template
+     *  bytes written inline). A group that is all zero writes no
+     *  keys. */
+    void noteUsage(const DispatchUsage &u);
 
     /** @return a copy of the cache's metrics: compile/hit/entry
      *  counters, superblock-length histogram, and dynamic run

@@ -128,11 +128,6 @@ Device::launch(const std::string &kernel, Dim3 grid, Dim3 block,
     data.block[2] = block.z;
     callbacks_.fire(cupti::CallbackSite::KernelLaunch, data);
 
-    // Launches are serialized, so the dispatcher can rebuild its
-    // per-site dispatch plans here without racing any worker.
-    if (dispatcher_)
-        dispatcher_->prepareLaunch();
-
     Executor exec(*this, *k, grid, block, args.bytes(), opts);
     LaunchResult result = exec.run();
     total_stats_.add(result.stats);

@@ -27,26 +27,36 @@ class HandlerDispatcher
 
     /**
      * Execute handler site_key for the warp currently at a JCAL.
+     * Both ways the executor reaches a site — the generic
+     * per-instruction JCAL and a fused site (simt/site_fuse.h) —
+     * land here, so every dispatch gets the same bookkeeping, the
+     * same handler effects, and the same fault surfacing.
      *
      * @param exec The running executor (register/memory access).
      * @param warp The calling warp; activeMask lanes made the call.
      * @param site_key target - HandlerBase of the JCAL.
+     * @param frame_addr Per-lane generic address of the site's
+     *        parameter frame (indexed by lane; active lanes only).
+     * @param frame_host Per-lane host pointer to the same frame
+     *        bytes, or null on a generic JCAL (views then go
+     *        through the generic address).
+     * @param fused Whether the call comes from a fused site. Only
+     *        sites inlineDispatchable() accepted are fused; they run
+     *        without a fiber group.
+     * @return true when the handler wrote device memory that a fused
+     *         site's epilogue may reload (the parameter frame or the
+     *         lane-local window). A false return licenses the caller
+     *         to skip identity fills — the frame still holds exactly
+     *         what the prologue spilled.
      */
-    virtual void dispatch(Executor &exec, Warp &warp, int32_t site_key) = 0;
-
-    /**
-     * Called once at the start of every launch, before any worker
-     * thread exists. Dispatchers that cache per-site dispatch plans
-     * (resolved handler targets, traits) rebuild them here, so the
-     * per-dispatch hot path never has to take a lock or re-derive
-     * anything that only changes when handlers are (re)registered.
-     */
-    virtual void prepareLaunch() {}
+    virtual bool dispatch(Executor &exec, Warp &warp, int32_t site_key,
+                          const uint64_t *frame_addr,
+                          uint8_t *const *frame_host, bool fused) = 0;
 
     /**
      * @return true when the handler behind site_key may be called
-     * inline from the executor's fused-site path — i.e.\ without a
-     * fiber group (so it must never suspend or use warp-rendezvous
+     * from the executor's fused-site path — i.e.\ without a fiber
+     * group (so it must never suspend or use warp-rendezvous
      * intrinsics). Sites that answer false take the generic
      * per-instruction path with the full fiber dispatch.
      */
@@ -55,35 +65,6 @@ class HandlerDispatcher
     {
         (void)site_key;
         return false;
-    }
-
-    /**
-     * Inline (fiber-less) variant of dispatch() for a fused site.
-     * Must be observationally identical to dispatch() — same
-     * metrics, same handler effects, same faults. Only called when
-     * inlineDispatchable(site_key) returned true.
-     *
-     * @param frame_addr Per-lane generic address of the site's
-     *        parameter frame (indexed by lane; active lanes only).
-     * @param frame_host Per-lane host pointer to the same frame
-     *        bytes, for direct parameter access.
-     * @return true when the handler wrote device memory that the
-     *         site's epilogue may reload (the parameter frame or the
-     *         lane-local window). A false return licenses the caller
-     *         to skip identity fills — the frame still holds exactly
-     *         what the prologue spilled.
-     */
-    virtual bool
-    dispatchInline(Executor &exec, Warp &warp, int32_t site_key,
-                   const uint64_t *frame_addr,
-                   uint8_t *const *frame_host)
-    {
-        (void)exec;
-        (void)warp;
-        (void)site_key;
-        (void)frame_addr;
-        (void)frame_host;
-        return true;
     }
 };
 

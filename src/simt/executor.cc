@@ -56,13 +56,44 @@ atomicApply(AtomOp op, uint32_t old, uint32_t b, uint32_t c, bool &store)
     return old;
 }
 
+/**
+ * A fused site's memory-operand address for the active lanes, as the
+ * bundle's address add computes it from the live register file:
+ * lo = lo32(Ra + immLo) with carry out, hi = lo32(Ra+1 + immHi +
+ * carry). Registers out of budget (RZ included) read 0.
+ */
+void
+siteAddress(const SiteRun &run, const Warp &warp, uint32_t active,
+            uint32_t *lo, uint32_t *hi, uint32_t *carry)
+{
+    const auto span = [&](uint8_t r) -> const uint32_t * {
+        return r < warp.numRegs
+                   ? warp.regs.data() + static_cast<size_t>(r) * WarpSize
+                   : nullptr;
+    };
+    const uint32_t *const als = span(run.addrLoReg);
+    const uint32_t *const ahs = run.addrPair ? span(run.addrHiReg) : nullptr;
+    for (uint32_t m = active; m; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        const uint64_t sum =
+            static_cast<uint64_t>(als ? als[lane] : 0) + run.addrImmLo;
+        lo[lane] = static_cast<uint32_t>(sum);
+        carry[lane] = (sum >> 32) != 0 ? 1u : 0u;
+        if (run.addrPair)
+            hi[lane] = (ahs ? ahs[lane] : 0) + run.addrImmHi + carry[lane];
+    }
+}
+
 } // namespace
 
 Executor::Executor(Device &dev, const ir::Kernel &kernel, Dim3 grid,
                    Dim3 block, std::vector<uint8_t> params,
                    const LaunchOptions &opts)
     : dev_(dev), kernel_(kernel), grid_(grid), block_(block),
-      params_(std::move(params)), opts_(opts)
+      params_(std::move(params)), opts_(opts),
+      superblocks_on_(opts.superblocks != 0),
+      handler_fastpath_on_(superblocks_on_ && opts.handlerFastpath != 0),
+      simd_on_(superblocks_on_ && opts.simd != 0 && simd::cpuHasAvx2())
 {
     static std::atomic<uint64_t> next_seq{1};
     launch_seq_ = next_seq.fetch_add(1, std::memory_order_relaxed);
@@ -85,9 +116,6 @@ Executor::fault(Outcome outcome, const std::string &message) const
 LaunchResult
 Executor::run()
 {
-    superblocks_on_ = opts_.superblocks != 0;
-    handler_fastpath_on_ = superblocks_on_ && opts_.handlerFastpath != 0;
-    simd_on_ = superblocks_on_ && opts_.simd != 0 && simd::cpuHasAvx2();
     if (!prog_) {
         UopConfig cfg;
         cfg.fuseSites = handler_fastpath_on_;
@@ -104,50 +132,42 @@ Executor::run()
     workers = static_cast<int>(
         std::min<uint64_t>(static_cast<uint64_t>(workers), chunks));
 
-    if (workers <= 1) {
-        // Serial: one chunk spanning the grid — byte for byte the
-        // historical strictly-serial execution.
-        trace_tid_ = 0;
-        ChunkOutcome chunk;
-        runChunk(CtaChunk{0, total}, chunk);
-        LaunchResult result;
-        result.outcome = chunk.outcome;
-        result.message = std::move(chunk.message);
-        result.stats = chunk.stats;
-        stats_ = result.stats;
-        UopCache::global().noteRuns(sb_runs_, sb_instrs_);
-        UopCache::global().noteSimd(simd_vec_uops_, simd_scalar_uops_);
-        UopCache::global().noteHandlerCalls(
-            hs_inline_, hs_fiber_, hs_fallback_, hs_inline_spill_bytes_);
-        exportDispatchUsage(result);
-        flushCounterShard();
-        finalizeMetrics(result);
-        return result;
-    }
-
     // Deal contiguous CTA chunks onto per-worker deques with
-    // steal-on-empty. Each worker is a full Executor with private
-    // warp state, shared memory, statistics, and counter shard; only
-    // device global memory is shared, and every RMW on it goes
-    // through a real atomic (execMem, intrinsics.cc), matching the
-    // GPU's own guarantees.
+    // steal-on-empty. Worker 0 is this executor; every other worker
+    // is a full Executor with private warp state, shared memory,
+    // statistics, and counter shard. Only device global memory is
+    // shared, and every RMW on it goes through a real atomic
+    // (execMem, intrinsics.cc), matching the GPU's own guarantees.
+    // One worker runs one chunk spanning the grid on the calling
+    // thread: byte for byte the historical strictly-serial execution.
     std::atomic<uint64_t> fault_bound{~0ull};
-    ChunkScheduler sched(total, workers, chunk_ctas);
+    ChunkScheduler sched(total, workers, workers > 1 ? chunk_ctas : total);
+    std::vector<ChunkOutcome> chunks_out(sched.chunkCount());
     std::vector<std::unique_ptr<Executor>> shards;
-    shards.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
+    for (int w = 1; w < workers; ++w) {
         shards.emplace_back(std::make_unique<Executor>(
             dev_, kernel_, grid_, block_, params_, opts_));
         shards.back()->prog_ = prog_;
-        shards.back()->superblocks_on_ = superblocks_on_;
-        shards.back()->handler_fastpath_on_ = handler_fastpath_on_;
-        shards.back()->simd_on_ = simd_on_;
         shards.back()->fault_bound_ = &fault_bound;
     }
-    std::vector<ChunkOutcome> chunks_out(sched.chunkCount());
+    fault_bound_ = &fault_bound;
     ThreadPool::global().parallelFor(workers, [&](int w) {
-        shards[static_cast<size_t>(w)]->runWorker(w, sched, chunks_out);
+        Executor &e = w == 0 ? *this : *shards[static_cast<size_t>(w - 1)];
+        e.trace_tid_ = w;
+        uint32_t id = 0;
+        while (sched.next(w, id))
+            e.runChunk(sched.chunk(id), chunks_out[id]);
     });
+    fault_bound_ = nullptr;
+
+    // Per-worker state merges in worker order; everything here is
+    // commutative (counter sums, histogram bucket sums + min/max,
+    // deferred adds), so this too is thread-count-invariant.
+    for (const auto &shard : shards) {
+        metrics_.merge(shard->metrics_);
+        counter_shard_.merge(shard->counter_shard_);
+        usage_.add(shard->usage_);
+    }
 
     // Merge statistics in chunk id order == ascending CTA order, so
     // which worker ran (or stole) a chunk never shows in the result.
@@ -156,53 +176,21 @@ Executor::run()
     // accumulated stats are exactly the CTAs the serial path would
     // have executed before faulting there (work from later chunks
     // that raced to completion is dropped).
-    LaunchResult merged;
-    for (uint32_t id = 0; id < sched.chunkCount(); ++id) {
-        ChunkOutcome &c = chunks_out[id];
-        merged.stats.add(c.stats);
+    LaunchResult result;
+    for (ChunkOutcome &c : chunks_out) {
+        result.stats.add(c.stats);
         if (c.outcome != Outcome::Ok) {
-            merged.outcome = c.outcome;
-            merged.message = std::move(c.message);
+            result.outcome = c.outcome;
+            result.message = std::move(c.message);
             break;
         }
     }
-
-    // Per-worker state merges in worker order; everything here is
-    // commutative (counter sums, histogram bucket sums + min/max,
-    // deferred adds), so this too is thread-count-invariant.
-    for (int w = 0; w < workers; ++w) {
-        size_t i = static_cast<size_t>(w);
-        metrics_.merge(shards[i]->metrics_);
-        counter_shard_.merge(shards[i]->counter_shard_);
-        sb_runs_ += shards[i]->sb_runs_;
-        simd_vec_uops_ += shards[i]->simd_vec_uops_;
-        simd_scalar_uops_ += shards[i]->simd_scalar_uops_;
-        sb_instrs_ += shards[i]->sb_instrs_;
-        hs_inline_ += shards[i]->hs_inline_;
-        hs_fiber_ += shards[i]->hs_fiber_;
-        hs_fallback_ += shards[i]->hs_fallback_;
-        hs_inline_spill_bytes_ += shards[i]->hs_inline_spill_bytes_;
-    }
-    stats_ = merged.stats;
-    UopCache::global().noteRuns(sb_runs_, sb_instrs_);
-    UopCache::global().noteSimd(simd_vec_uops_, simd_scalar_uops_);
-    UopCache::global().noteHandlerCalls(
-        hs_inline_, hs_fiber_, hs_fallback_, hs_inline_spill_bytes_);
-    exportDispatchUsage(merged);
+    stats_ = result.stats;
+    UopCache::global().noteUsage(usage_);
+    result.dispatch = usage_;
     flushCounterShard();
-    finalizeMetrics(merged);
-    return merged;
-}
-
-void
-Executor::exportDispatchUsage(LaunchResult &result) const
-{
-    result.dispatch.superblockRuns = sb_runs_;
-    result.dispatch.superblockInstrs = sb_instrs_;
-    result.dispatch.vectorUops = simd_vec_uops_;
-    result.dispatch.scalarUops = simd_scalar_uops_;
-    result.dispatch.inlineHandlerCalls = hs_inline_;
-    result.dispatch.fiberHandlerCalls = hs_fiber_;
+    finalizeMetrics(result);
+    return result;
 }
 
 void
@@ -229,16 +217,6 @@ Executor::finalizeMetrics(LaunchResult &result)
 }
 
 void
-Executor::runWorker(int worker, ChunkScheduler &sched,
-                    std::vector<ChunkOutcome> &out)
-{
-    trace_tid_ = worker;
-    uint32_t id = 0;
-    while (sched.next(worker, id))
-        runChunk(sched.chunk(id), out[id]);
-}
-
-void
 Executor::runChunk(const CtaChunk &chunk, ChunkOutcome &out)
 {
     stats_ = LaunchStats{};
@@ -250,25 +228,21 @@ Executor::runChunk(const CtaChunk &chunk, ChunkOutcome &out)
             // reached them; CTAs below it must still run to
             // completion so the bound converges on the CTA serial
             // execution faults on.
-            if (fault_bound_ &&
-                linear > fault_bound_->load(std::memory_order_relaxed))
+            if (linear > fault_bound_->load(std::memory_order_relaxed))
                 break;
             runOneCta(linear);
         }
         out.outcome = Outcome::Ok;
     } catch (const SimFault &f) {
+        refundRoundDebt();
         out.outcome = f.outcome;
         out.message = f.message;
-        out.faultCta = cta_linear_;
-        if (fault_bound_) {
-            // fetch-min of the faulting CTA-linear id.
-            uint64_t cur =
-                fault_bound_->load(std::memory_order_relaxed);
-            while (cta_linear_ < cur &&
-                   !fault_bound_->compare_exchange_weak(
-                       cur, cta_linear_, std::memory_order_relaxed,
-                       std::memory_order_relaxed)) {
-            }
+        // fetch-min of the faulting CTA-linear id.
+        uint64_t cur = fault_bound_->load(std::memory_order_relaxed);
+        while (cta_linear_ < cur &&
+               !fault_bound_->compare_exchange_weak(
+                   cur, cta_linear_, std::memory_order_relaxed,
+                   std::memory_order_relaxed)) {
         }
     }
     out.stats = stats_;
@@ -736,8 +710,8 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
             (u.simd != nullptr ? u.simd : u.alu)(
                 uop_ctx_, warp, code[start + i], exec);
         }
-        simd_vec_uops_ += sb.simdUops;
-        simd_scalar_uops_ += len - sb.simdUops;
+        usage_.vectorUops += sb.simdUops;
+        usage_.scalarUops += len - sb.simdUops;
     } else {
         for (uint32_t i = 0; i < len; ++i) {
             const MicroOp &u = prog_->at(start + i);
@@ -757,8 +731,22 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
     // CTA-wide interleaving of shared-state accesses — identical
     // to per-instruction stepping (see Warp::skipRounds).
     warp.skipRounds = len - 1;
-    ++sb_runs_;
-    sb_instrs_ += len;
+    ++usage_.superblockRuns;
+    usage_.superblockInstrs += len;
+}
+
+void
+Executor::chargeSiteHalf(const SiteRunStats &half, uint64_t lanes)
+{
+    stats_.warpInstrs += half.warpInstrs;
+    stats_.threadInstrs += half.threadFactor * lanes;
+    stats_.syntheticWarpInstrs += half.warpInstrs;
+    stats_.memWarpInstrs += half.memInstrs;
+    *m_spill_instrs_ += half.spillInstrs;
+    *m_spill_bytes_ += half.spillWidthSum * lanes;
+    for (const auto &[op, count] : half.opcodeCounts)
+        stats_.opcodeCounts[static_cast<size_t>(op)] += count;
+    watchdog_count_ += half.warpInstrs;
 }
 
 bool
@@ -771,7 +759,7 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
         // Not inline-dispatchable (or the watchdog budget no longer
         // covers the whole bundle): the generic path handles it —
         // including the fiber dispatch and exact-pc hang fault.
-        ++hs_fallback_;
+        ++usage_.inlineFallbacks;
         return false;
     }
     const uint32_t active = warp.activeMask;
@@ -790,16 +778,10 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
     const uint32_t *const regs0 = warp.regs.data();
     uint8_t *const lmem0 = warp.localMem.data();
     const size_t lstride = kernel_.localBytes;
-    const auto regSpan = [&](uint8_t r) -> const uint32_t * {
-        return r < num_regs
-                   ? regs0 + static_cast<size_t>(r) * WarpSize
-                   : nullptr;
-    };
-    const uint32_t *const r1s = regSpan(abi::StackPtr);
-    const uint32_t *const als =
-        run.hasAddr ? regSpan(run.addrLoReg) : nullptr;
-    const uint32_t *const ahs =
-        run.addrPair ? regSpan(run.addrHiReg) : nullptr;
+    const uint32_t *const r1s =
+        abi::StackPtr < num_regs
+            ? regs0 + static_cast<size_t>(abi::StackPtr) * WarpSize
+            : nullptr;
     uint8_t *fptr[WarpSize]; // Frame base, per lane.
     // Zero-filled so the SIMD tier's whole-chunk loads stay defined
     // at inactive lanes (their values are never stored).
@@ -813,39 +795,21 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
             static_cast<int64_t>(r1s ? r1s[lane] : 0) + run.frameRel;
         if (b < 0 ||
             b + frame_bytes > static_cast<int64_t>(kernel_.localBytes)) {
-            ++hs_fallback_;
+            ++usage_.inlineFallbacks;
             return false;
         }
         fptr[lane] = lmem0 + static_cast<size_t>(lane) * lstride +
                      static_cast<uint64_t>(b);
-        if (run.hasAddr) {
-            uint64_t sum =
-                static_cast<uint64_t>(als ? als[lane] : 0) +
-                run.addrImmLo;
-            addr_lo[lane] = static_cast<uint32_t>(sum);
-            carry[lane] = (sum >> 32) != 0 ? 1u : 0u;
-            if (run.addrPair) {
-                addr_hi[lane] =
-                    (ahs ? ahs[lane] : 0) + run.addrImmHi +
-                    carry[lane];
-            }
-        }
     }
+    if (run.hasAddr)
+        siteAddress(run, warp, active, addr_lo, addr_hi, carry);
 
     // Charge the prologue half (through the JCAL) exactly as
     // per-instruction stepping would. Every bundle instruction is
     // synthetic and runs under the full active mask (guarded flag
     // pairs partition it; SiteRunStats::threadFactor folds that in).
     const uint64_t lanes = static_cast<uint64_t>(popc(active));
-    stats_.warpInstrs += run.pre.warpInstrs;
-    stats_.threadInstrs += run.pre.threadFactor * lanes;
-    stats_.syntheticWarpInstrs += run.pre.warpInstrs;
-    stats_.memWarpInstrs += run.pre.memInstrs;
-    *m_spill_instrs_ += run.pre.spillInstrs;
-    *m_spill_bytes_ += run.pre.spillWidthSum * lanes;
-    for (const auto &[op, count] : run.pre.opcodeCounts)
-        stats_.opcodeCounts[static_cast<size_t>(op)] += count;
-    watchdog_count_ += run.pre.warpInstrs;
+    chargeSiteHalf(run.pre, lanes);
 
     // Materialize the frame template: every spill and parameter
     // store of the prologue, as direct 32-bit stores. Store-major
@@ -953,8 +917,8 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
         }
     }
 
-    hs_inline_spill_bytes_ += run.spillBytesPerLane() * lanes;
-    ++hs_inline_;
+    usage_.inlineSpillBytes += run.spillBytesPerLane() * lanes;
+    ++usage_.inlineHandlerCalls;
 
     // Park on the JCAL's round: this round covered instruction
     // start, the next jcalIdx - 1 pay off the rest of the prologue,
@@ -1014,21 +978,13 @@ Executor::completeSiteRun(Warp &warp)
     // (reloads of exactly what the prologue spilled) are no-ops: the
     // parked warp executed nothing between the phases, so the
     // register/predicate files still hold the spilled values.
-    const bool frame_dirty = dev_.dispatcher()->dispatchInline(
-        *this, warp, run.siteKey, frame_addr, frame_host);
+    const bool frame_dirty = dev_.dispatcher()->dispatch(
+        *this, warp, run.siteKey, frame_addr, frame_host, true);
 
     // Epilogue half: charged only once the handler returned, like
     // the generic path (a handler fault leaves the JCAL charged but
     // not the fills).
-    stats_.warpInstrs += run.post.warpInstrs;
-    stats_.threadInstrs += run.post.threadFactor * lanes;
-    stats_.syntheticWarpInstrs += run.post.warpInstrs;
-    stats_.memWarpInstrs += run.post.memInstrs;
-    *m_spill_instrs_ += run.post.spillInstrs;
-    *m_spill_bytes_ += run.post.spillWidthSum * lanes;
-    for (const auto &[op, count] : run.post.opcodeCounts)
-        stats_.opcodeCounts[static_cast<size_t>(op)] += count;
-    watchdog_count_ += run.post.warpInstrs;
+    chargeSiteHalf(run.post, lanes);
 
     // Apply the epilogue's effects, effect-major. Every effect value
     // derives from entry register values (R1 and the memory-address
@@ -1046,31 +1002,18 @@ Executor::completeSiteRun(Warp &warp)
     }
     uint32_t addr_lo[WarpSize];
     uint32_t addr_hi[WarpSize];
-    if (run.hasAddr && run.effectsNeedAddr) {
-        const uint32_t *const als =
-            run.addrLoReg < num_regs
-                ? regs0 +
-                      static_cast<size_t>(run.addrLoReg) * WarpSize
-                : nullptr;
-        const uint32_t *const ahs =
-            run.addrPair && run.addrHiReg < num_regs
-                ? regs0 +
-                      static_cast<size_t>(run.addrHiReg) * WarpSize
-                : nullptr;
-        for (int lane = 0; lane < WarpSize; ++lane) {
-            if (!(active & (1u << lane)))
-                continue;
-            uint64_t sum =
-                static_cast<uint64_t>(als ? als[lane] : 0) +
-                run.addrImmLo;
-            addr_lo[lane] = static_cast<uint32_t>(sum);
-            if (run.addrPair) {
-                addr_hi[lane] = (ahs ? ahs[lane] : 0) +
-                                run.addrImmHi +
-                                ((sum >> 32) != 0 ? 1u : 0u);
-            }
-        }
-    }
+    uint32_t carry[WarpSize];
+    if (run.hasAddr && run.effectsNeedAddr)
+        siteAddress(run, warp, active, addr_lo, addr_hi, carry);
+    // One lane's frame word at a frame-relative or absolute offset.
+    const auto loadWord = [&](int lane, bool abs, uint32_t off) {
+        uint32_t v;
+        std::memcpy(&v,
+                    lmem0 + static_cast<size_t>(lane) * lstride +
+                        (abs ? off : fb[lane] + off),
+                    4);
+        return v;
+    };
     const bool full_mask = active == ~0u;
     for (const SiteRegEffect &e : run.effects) {
         if (e.identity && !frame_dirty)
@@ -1149,57 +1092,91 @@ Executor::completeSiteRun(Warp &warp)
             }
             break;
           case SiteRegEffect::Kind::Load:
-            for (int lane = 0; lane < WarpSize; ++lane) {
-                if (!full_mask && !(active & (1u << lane)))
-                    continue;
-                uint32_t v;
-                std::memcpy(
-                    &v,
-                    lmem0 + static_cast<size_t>(lane) * lstride +
-                        (e.abs ? static_cast<uint64_t>(e.off)
-                               : fb[lane] + e.off),
-                    4);
-                dst[lane] = v;
-            }
+            for (int lane = 0; lane < WarpSize; ++lane)
+                if (full_mask || (active & (1u << lane)))
+                    dst[lane] = loadWord(lane, e.abs, e.off);
             break;
         }
     }
-    if (run.restorePred && (frame_dirty || !run.restorePredIdentity)) {
-        for (int lane = 0; lane < WarpSize; ++lane) {
-            if (!(active & (1u << lane)))
-                continue;
-            uint32_t v;
-            std::memcpy(&v,
-                        lmem0 + static_cast<size_t>(lane) * lstride +
-                            (run.restorePredAbs
-                                 ? static_cast<uint64_t>(
-                                       run.restorePredOff)
-                                 : fb[lane] + run.restorePredOff),
-                        4);
-            // Equivalent to setPred on each of P0..P6: the pred file
-            // holds exactly those NumPred bits (PT is not stored).
-            warp.setPredByte(lane, static_cast<uint8_t>(
-                v & ((1u << NumPred) - 1)));
+    const bool restore_pred =
+        run.restorePred && (frame_dirty || !run.restorePredIdentity);
+    const bool restore_cc =
+        run.restoreCC && (frame_dirty || !run.restoreCCIdentity);
+    for (int lane = 0; lane < WarpSize; ++lane) {
+        if (!(active & (1u << lane)))
+            continue;
+        // Equivalent to setPred on each of P0..P6: the pred file
+        // holds exactly those NumPred bits (PT is not stored).
+        if (restore_pred) {
+            warp.setPredByte(
+                lane, static_cast<uint8_t>(
+                          loadWord(lane, run.restorePredAbs,
+                                   run.restorePredOff) &
+                          ((1u << NumPred) - 1)));
         }
-    }
-    if (run.restoreCC && (frame_dirty || !run.restoreCCIdentity)) {
-        for (int lane = 0; lane < WarpSize; ++lane) {
-            if (!(active & (1u << lane)))
-                continue;
-            uint32_t v;
-            std::memcpy(&v,
-                        lmem0 + static_cast<size_t>(lane) * lstride +
-                            (run.restoreCCAbs
-                                 ? static_cast<uint64_t>(
-                                       run.restoreCCOff)
-                                 : fb[lane] + run.restoreCCOff),
-                        4);
-            warp.setCC(lane, (v & 0x80) != 0);
+        if (restore_cc) {
+            warp.setCC(lane, (loadWord(lane, run.restoreCCAbs,
+                                       run.restoreCCOff) & 0x80) != 0);
         }
     }
 
     warp.pc = run.start + run.len;
     warp.skipRounds = run.len - 1 - run.jcalIdx;
+}
+
+uint32_t
+Executor::guardMask(const Warp &warp, const MicroOp &dec,
+                    const Instruction &ins)
+{
+    // The decode cache proves the common case — @PT, i.e.
+    // unpredicated — statically, skipping the per-lane predicate-file
+    // reads entirely.
+    switch (dec.guard) {
+      case GuardKind::AlwaysOn: return warp.activeMask;
+      case GuardKind::AlwaysOff: return 0;
+      case GuardKind::PerLane: break;
+    }
+    uint32_t exec = 0;
+    for (uint32_t m = warp.activeMask; m; m &= m - 1) {
+        const int lane = std::countr_zero(m);
+        if (warp.pred(lane, ins.guard) != ins.guardNeg)
+            exec |= 1u << lane;
+    }
+    return exec;
+}
+
+void
+Executor::chargeIssue(const MicroOp &dec, const Instruction &ins,
+                      uint32_t exec, uint64_t sign)
+{
+    const uint64_t lanes = static_cast<uint64_t>(popc(exec));
+    stats_.warpInstrs += sign;
+    stats_.threadInstrs += sign * lanes;
+    stats_.opcodeCounts[static_cast<size_t>(ins.op)] += sign;
+    if (ins.synthetic)
+        stats_.syntheticWarpInstrs += sign;
+    if (dec.countsAsMem && exec)
+        stats_.memWarpInstrs += sign;
+    if (ins.spillFill && exec) {
+        *m_spill_instrs_ += sign;
+        *m_spill_bytes_ += sign * static_cast<uint64_t>(ins.width) * lanes;
+    }
+}
+
+void
+Executor::refundRoundDebt()
+{
+    for (Warp &warp : warps_) {
+        // Owed rounds are the last skipRounds instructions before pc,
+        // plus the JCAL at pc while parked in a fused site's prologue.
+        const uint32_t parked = warp.pendingSite != 0 ? 1 : 0;
+        const uint32_t end = warp.pc + parked;
+        for (uint32_t pc = end - warp.skipRounds - parked; pc < end; ++pc) {
+            const MicroOp &dec = prog_->at(pc);
+            const Instruction &ins = kernel_.code[pc];
+            chargeIssue(dec, ins, guardMask(warp, dec, ins), ~0ull);
+        }
+    }
 }
 
 void
@@ -1258,42 +1235,8 @@ Executor::step(Warp &warp)
     }
 
     const Instruction &ins = kernel_.code[warp.pc];
-
-    // Guard predicate. The decode cache proves the common case —
-    // @PT, i.e.\ unpredicated — statically, skipping the per-lane
-    // predicate-file reads entirely.
-    uint32_t exec;
-    switch (dec.guard) {
-      case GuardKind::AlwaysOn:
-        exec = warp.activeMask;
-        break;
-      case GuardKind::AlwaysOff:
-        exec = 0;
-        break;
-      default: {
-        exec = 0;
-        for (int lane = 0; lane < WarpSize; ++lane) {
-            if (!(warp.activeMask & (1u << lane)))
-                continue;
-            if (warp.pred(lane, ins.guard) != ins.guardNeg)
-                exec |= 1u << lane;
-        }
-        break;
-      }
-    }
-
-    ++stats_.warpInstrs;
-    stats_.threadInstrs += static_cast<uint64_t>(popc(exec));
-    ++stats_.opcodeCounts[static_cast<size_t>(ins.op)];
-    if (ins.synthetic)
-        ++stats_.syntheticWarpInstrs;
-    if (dec.countsAsMem && exec)
-        ++stats_.memWarpInstrs;
-    if (ins.spillFill && exec) {
-        ++*m_spill_instrs_;
-        *m_spill_bytes_ += static_cast<uint64_t>(ins.width) *
-                           static_cast<uint64_t>(popc(exec));
-    }
+    const uint32_t exec = guardMask(warp, dec, ins);
+    chargeIssue(dec, ins, exec, 1);
 
     switch (dec.cls) {
       case ExecClass::Exit: {
@@ -1363,9 +1306,20 @@ Executor::step(Warp &warp)
                 fault(Outcome::InvalidPC,
                       "handler JCAL with no dispatcher installed");
             }
+            // The injected ABI sequence passed the bp pointer in
+            // R4:R5 (second pointer, aux block, in R6:R7 — it is
+            // bp + 0x60, so the frame base is all the views need).
+            uint64_t frame_addr[WarpSize] = {};
+            for (uint32_t m = warp.activeMask; m; m &= m - 1) {
+                const int lane = std::countr_zero(m);
+                frame_addr[lane] =
+                    makeU64(warp.reg(lane, abi::Arg0Lo),
+                            warp.reg(lane, abi::Arg0Lo + 1));
+            }
             ++stats_.handlerCalls;
-            ++hs_fiber_;
-            d->dispatch(*this, warp, ins.target - HandlerBase);
+            ++usage_.fiberHandlerCalls;
+            d->dispatch(*this, warp, ins.target - HandlerBase,
+                        frame_addr, nullptr, false);
             ++warp.pc;
             return;
         }

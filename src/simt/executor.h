@@ -76,7 +76,9 @@ class Executor
      * above the published fault bound but finish everything below
      * it, and chunks past the faulting one are dropped from the
      * merge, reproducing exactly what the serial path would have
-     * executed and reported.
+     * executed and reported. Statistics of the faulting CTA count
+     * only the rounds its warps reached (refundRoundDebt), so they
+     * match on every dispatch plane too.
      */
     LaunchResult run();
 
@@ -206,12 +208,8 @@ class Executor
         LaunchStats stats;
         Outcome outcome = Outcome::Ok;
         std::string message;
-        uint64_t faultCta = ~0ull;
     };
 
-    /** Pull chunks from the scheduler until none remain. */
-    void runWorker(int worker, ChunkScheduler &sched,
-                   std::vector<ChunkOutcome> &out);
     /** Run one chunk's CTAs (ascending), honoring the fault bound. */
     void runChunk(const CtaChunk &chunk, ChunkOutcome &out);
     /** Run one CTA by linear id (trace + per-CTA bookkeeping). */
@@ -220,10 +218,26 @@ class Executor
     void flushCounterShard();
     /** Republish final stats into metrics_ and attach the registry. */
     void finalizeMetrics(LaunchResult &result);
-    /** Export this launch's dispatch-plane totals (post-merge). */
-    void exportDispatchUsage(LaunchResult &result) const;
     void runCta();
     void step(Warp &warp);
+
+    /** The active lanes of warp whose guard predicate holds. */
+    static uint32_t guardMask(const Warp &warp, const MicroOp &dec,
+                              const sass::Instruction &ins);
+
+    /** Charge one issue of ins to stats_ and the spill metrics, as
+     *  step() does (sign 1), or take it back (sign ~0, i.e.\ -1). */
+    void chargeIssue(const MicroOp &dec, const sass::Instruction &ins,
+                     uint32_t exec, uint64_t sign);
+
+    /**
+     * Superblocks and fused sites charge the rounds they batch when
+     * they start. A fault ends the launch before warps reach rounds
+     * they still owe (Warp::skipRounds), so take those charges back:
+     * the faulting CTA then reports exactly what per-instruction
+     * stepping would have executed.
+     */
+    void refundRoundDebt();
     void unwindStack(Warp &warp);
     [[noreturn]] void
     fault(Outcome outcome, const std::string &message) const;
@@ -251,6 +265,10 @@ class Executor
     /** Dispatch the parked site's handler inline and replay the
      *  epilogue's register effects from the compiled template. */
     void completeSiteRun(Warp &warp);
+
+    /** Charge a site run's prologue or epilogue half as
+     *  per-instruction stepping would, for `lanes` active lanes. */
+    void chargeSiteHalf(const SiteRunStats &half, uint64_t lanes);
 
     /**
      * The ALU ops without an exec function (MicroOp::alu): an S2R of
@@ -293,51 +311,28 @@ class Executor
     // read-only with its shards.
     std::shared_ptr<const MicroProgram> prog_;
 
-    // Whether this launch takes the superblock fast path; resolved
-    // once per launch from opts_.superblocks.
-    bool superblocks_on_ = true;
+    // Dispatch planes, resolved from opts_ at construction. The
+    // compiled-handler fast path and the lane-vectorized exec
+    // functions (simt/simd/, AVX2 only) both require superblocks:
+    // site runs and vector uops live in the same micro-program.
+    const bool superblocks_on_;
+    const bool handler_fastpath_on_;
+    const bool simd_on_;
 
-    // Whether this launch takes the compiled-handler fast path;
-    // requires superblocks (site runs are compiled into the same
-    // micro-program variant).
-    bool handler_fastpath_on_ = false;
-
-    // Whether superblock runs call the lane-vectorized exec
-    // functions (simt/simd/); requires superblocks, opts_.simd, and
-    // AVX2 on this machine.
-    bool simd_on_ = false;
-
-    // Dynamic compiled-handler dispatch counts of this worker,
-    // flushed to the UopCache once per launch alongside sb_runs_
-    // (never into the launch registry, which must serialize
-    // identically with the fast path on and off).
-    uint64_t hs_inline_ = 0;
-    uint64_t hs_fiber_ = 0;
-    uint64_t hs_fallback_ = 0;
-    uint64_t hs_inline_spill_bytes_ = 0;
+    // Dispatch-plane usage of this worker, flushed to the UopCache
+    // and exported once per launch (never into the launch registry,
+    // which must serialize identically on every plane).
+    DispatchUsage usage_;
 
     // Context the micro-op exec functions need beyond the warp;
     // refreshed per CTA.
     UopCtx uop_ctx_;
 
-    // Dynamic superblock executions of this worker, flushed to the
-    // UopCache once per launch (not into the launch registry, which
-    // must serialize identically with superblocks on and off).
-    uint64_t sb_runs_ = 0;
-    uint64_t sb_instrs_ = 0;
-
-    // Uop dispatch counts of this worker while the SIMD tier was
-    // on: executed vectorized vs fell back to the scalar exec
-    // function. Flushed with sb_runs_ (same launch-registry
-    // invariance rule).
-    uint64_t simd_vec_uops_ = 0;
-    uint64_t simd_scalar_uops_ = 0;
-
     // Lowest faulting CTA-linear id published so far (fetch-min),
-    // pointing into run()'s frame. Workers skip CTAs above the
-    // bound at CTA boundaries but still finish everything below it,
-    // so the final bound is deterministically the CTA the serial
-    // path would have faulted on.
+    // pointing into run()'s frame while the workers run. Workers
+    // skip CTAs above the bound at CTA boundaries but still finish
+    // everything below it, so the final bound is deterministically
+    // the CTA the serial path would have faulted on.
     std::atomic<uint64_t> *fault_bound_ = nullptr;
 
     // Deferred blind counter adds of this worker (cache-line-

@@ -208,6 +208,22 @@ struct DispatchUsage
     uint64_t scalarUops = 0;      //!< SIMD-tier scalar fallbacks.
     uint64_t inlineHandlerCalls = 0; //!< Fused-site inline dispatches.
     uint64_t fiberHandlerCalls = 0;  //!< Fiber-path dispatches.
+    uint64_t inlineFallbacks = 0;    //!< Fused heads run generically.
+    uint64_t inlineSpillBytes = 0;   //!< Frame bytes written inline.
+
+    /** Accumulate another worker's (or launch's) usage. */
+    void
+    add(const DispatchUsage &o)
+    {
+        superblockRuns += o.superblockRuns;
+        superblockInstrs += o.superblockInstrs;
+        vectorUops += o.vectorUops;
+        scalarUops += o.scalarUops;
+        inlineHandlerCalls += o.inlineHandlerCalls;
+        fiberHandlerCalls += o.fiberHandlerCalls;
+        inlineFallbacks += o.inlineFallbacks;
+        inlineSpillBytes += o.inlineSpillBytes;
+    }
 };
 
 /** The result of one kernel launch. */

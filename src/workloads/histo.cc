@@ -21,7 +21,15 @@ namespace {
 class Histo : public Workload
 {
   public:
-    Histo(uint32_t n, uint32_t bins) : n_(n), bins_(bins) {}
+    Histo(uint32_t n, uint32_t bins) : n_(n), bins_(bins)
+    {
+        // The saturation test is a check-then-increment race across
+        // CTAs: a warp loads a bin, then adds to it, and other CTAs'
+        // adds can land in between. How far a bin overshoots the
+        // cap (and with it the final histogram) depends on how CTAs
+        // interleave, so runs are only reproducible serially.
+        launchOptions.numThreads = 1;
+    }
 
     std::string name() const override { return "histo"; }
     std::string suite() const override { return "Parboil"; }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 
 #include "core/sassi.h"
@@ -457,7 +458,8 @@ TEST(Instrument, KernelEntryAndExitSites)
     opts.kernelExit = true;
     rt.instrument(opts);
 
-    int entries = 0, exits = 0;
+    // Bumped from concurrent CTA workers.
+    std::atomic<int> entries = 0, exits = 0;
     rt.setBeforeHandler([&](const core::HandlerEnv &env) {
         if (env.site->flavor == core::SiteFlavor::KernelEntry)
             ++entries;
@@ -468,8 +470,8 @@ TEST(Instrument, KernelEntryAndExitSites)
     LaunchResult r =
         dev.launch("entry", Dim3(2), Dim3(64), KernelArgs());
     ASSERT_TRUE(r.ok()) << r.message;
-    EXPECT_EQ(entries, 2 * 64);
-    EXPECT_EQ(exits, 2 * 64);
+    EXPECT_EQ(entries.load(), 2 * 64);
+    EXPECT_EQ(exits.load(), 2 * 64);
 }
 
 TEST(Instrument, BranchTargetsRemappedCorrectly)

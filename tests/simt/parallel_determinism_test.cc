@@ -205,7 +205,7 @@ TEST(ParallelDeterminism, StressKernelBitIdenticalAcrossThreads)
  * host threads must race cleanly on the process-wide micro-op
  * cache (first compile wins, everyone else hits) and still produce
  * bit-identical results. This is the test the TSan preset leans on
- * to prove UopCache's locking: get(), noteRuns(), snapshot(), and
+ * to prove UopCache's locking: get(), noteUsage(), snapshot(), and
  * size() are all exercised while other threads compile and launch.
  */
 TEST(ParallelDeterminism, UopCacheSharedAcrossConcurrentDevices)

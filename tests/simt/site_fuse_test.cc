@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -446,6 +447,97 @@ TEST(FastpathHandlerDiff, ErrorInjectionProfiler)
         expectStatsEqual(results[0].stats, results[1].stats);
         EXPECT_EQ(totals[0], totals[1]);
         EXPECT_EQ(out[0], out[1]) << "device memory differs";
+    }
+}
+
+/// @}
+
+/// @name Handler faults on both dispatch paths
+/// @{
+
+/** Below Device::GlobalBase: no device allocation covers it. */
+constexpr uint64_t kUnmapped = 0x40;
+
+/** Whether env is the stress kernel's store site in warp 1 of CTA 5
+ *  (the STG is its only store; every lane of the warp is active). */
+bool
+isFaultSite(const core::HandlerEnv &env)
+{
+    return env.blockIdx.x == 5 && env.threadIdx.x / 32 == 1 &&
+           env.bp.IsMem() && env.mp.IsStore();
+}
+
+core::InstrumentOptions
+faultOptions()
+{
+    core::InstrumentOptions o;
+    o.beforeAll = true;
+    o.memoryInfo = true;
+    return o;
+}
+
+TEST(FastpathHandlerDiff, LaneFaultMatchesAcrossPaths)
+{
+    // A reentrant-safe handler with no warp body is a lane loop on
+    // both paths: generic with the fast path off, fused with it on.
+    // One lane loads an unmapped address; both paths must report the
+    // same fault, at the same point, with the same statistics.
+    for (int threads : {1, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        LaunchResult results[2];
+        for (int fp = 0; fp < 2; ++fp) {
+            ToolEnv env = makeToolEnv(faultOptions());
+            core::HandlerTraits traits;
+            traits.warpSynchronous = false;
+            traits.reentrantSafe = true;
+            env.rt->setBeforeHandler([](const core::HandlerEnv &h) {
+                if (isFaultSite(h) && h.lane == 5)
+                    (void)cuda::devLoad32(kUnmapped);
+            }, traits);
+            results[fp] = launchTool(env, threads, fp);
+            EXPECT_EQ(results[fp].outcome, Outcome::MemFault);
+        }
+        EXPECT_EQ(results[0].dispatch.inlineHandlerCalls, 0u);
+        EXPECT_GT(results[1].dispatch.inlineHandlerCalls, 0u)
+            << "the fast path never fused a site";
+        EXPECT_NE(results[0].message.find("0x40"), std::string::npos)
+            << results[0].message;
+        EXPECT_EQ(results[0].message, results[1].message);
+        expectStatsEqual(results[0].stats, results[1].stats);
+    }
+}
+
+TEST(FastpathHandlerDiff, WarpSynchronousFaultDrainsFiberGroup)
+{
+    // A warp-synchronous handler without a warp body runs on fibers
+    // with the fast path off and on. Lane 5 faults before the ballot;
+    // its fiber finishes, the other 31 lanes' ballot completes
+    // without it, and the launch reports the fault once the group
+    // has drained.
+    for (int threads : {1, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        LaunchResult results[2];
+        for (int fp = 0; fp < 2; ++fp) {
+            ToolEnv env = makeToolEnv(faultOptions());
+            std::atomic<uint32_t> ballot_seen{0};
+            env.rt->setBeforeHandler(
+                [&ballot_seen](const core::HandlerEnv &h) {
+                    const bool site = isFaultSite(h);
+                    if (site && h.lane == 5)
+                        (void)cuda::devLoad32(kUnmapped);
+                    const uint32_t mask = cuda::ballot(1);
+                    if (site && h.lane == 6)
+                        ballot_seen = mask;
+                });
+            results[fp] = launchTool(env, threads, fp);
+            EXPECT_EQ(results[fp].outcome, Outcome::MemFault);
+            EXPECT_EQ(ballot_seen.load(), ~(1u << 5));
+            EXPECT_EQ(results[fp].dispatch.inlineHandlerCalls, 0u);
+        }
+        EXPECT_NE(results[0].message.find("0x40"), std::string::npos)
+            << results[0].message;
+        EXPECT_EQ(results[0].message, results[1].message);
+        expectStatsEqual(results[0].stats, results[1].stats);
     }
 }
 
