@@ -8,16 +8,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdio>
-
-#include "bench_json.h"
 #include "core/sassi.h"
 #include "handlers/dev_hash.h"
-#include "mem/cache.h"
 #include "mem/coalescer.h"
 #include "sassir/builder.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 
 using namespace sassi;
@@ -127,143 +121,6 @@ BM_Coalescer(benchmark::State &state)
 }
 BENCHMARK(BM_Coalescer);
 
-/**
- * Parallel-CTA scaling sweep: the spin kernel on a 64-CTA grid at
- * 1/2/4/8 worker threads, reported to stdout and merge-written to
- * BENCH_simt.json (with the serial-relative speedups) so scripts
- * can track the simulator's thread scaling.
- */
-void
-runScalingReport()
-{
-    constexpr int Ctas = 64;
-    constexpr int Iters = 4096;
-    Device dev;
-    ir::Module mod;
-    mod.kernels.push_back(spinKernel(Iters));
-    dev.loadModule(std::move(mod));
-
-    std::printf("\n-- Parallel CTA scaling (spin x%d, %d CTAs x 128 "
-                "threads) --\n", Iters, Ctas);
-    sassi::bench::BenchJson json("bench_micro");
-    double serial_rate = 0;
-    for (int threads : {1, 2, 4, 8}) {
-        LaunchOptions opts;
-        opts.numThreads = threads;
-        // Warm the worker pool (thread creation, page faults).
-        dev.launch("spin", Dim3(Ctas), Dim3(128), KernelArgs(), opts);
-
-        uint64_t instrs = 0;
-        int reps = 0;
-        auto t0 = std::chrono::steady_clock::now();
-        double secs = 0;
-        do {
-            auto r = dev.launch("spin", Dim3(Ctas), Dim3(128),
-                                KernelArgs(), opts);
-            instrs += r.stats.warpInstrs;
-            ++reps;
-            secs = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-        } while (secs < 0.5);
-
-        double rate = static_cast<double>(instrs) / secs;
-        if (threads == 1)
-            serial_rate = rate;
-        double speedup = serial_rate > 0 ? rate / serial_rate : 1.0;
-        std::printf("threads=%d  %8.2f Mwi/s  speedup %.2fx  "
-                    "(%d launches, %.3fs)\n",
-                    threads, rate / 1e6, speedup, reps, secs);
-
-        sassi::bench::BenchRecord rec;
-        rec.name = "spin" + std::to_string(Ctas) + "x128/threads=" +
-                   std::to_string(threads);
-        rec.wallSeconds = secs;
-        rec.warpInstrsPerSec = rate;
-        rec.threads = threads;
-        rec.extra.emplace_back("speedup_vs_serial", speedup);
-        rec.extra.emplace_back("launches", static_cast<double>(reps));
-        json.add(rec);
-    }
-    if (json.write())
-        std::printf("wrote BENCH_simt.json\n");
-}
-
-/**
- * Deterministic registry snapshot: one spin launch (numThreads = 0,
- * so SASSI_SIM_THREADS applies) plus a fixed warp-access stream
- * through a no-allocate-L1 hierarchy, flattened into the
- * "bench_micro_metrics" section of BENCH_simt.json. Every value is a
- * simulation count — no wall clock — so the section must be
- * byte-identical at any worker-thread count.
- */
-void
-runMetricsReport()
-{
-    Device dev;
-    ir::Module mod;
-    mod.kernels.push_back(spinKernel(256));
-    dev.loadModule(std::move(mod));
-    LaunchOptions opts;
-    opts.numThreads = 0;
-    auto r = dev.launch("spin", Dim3(16), Dim3(128), KernelArgs(),
-                        opts);
-    Metrics m = r.metrics;
-
-    // L1 is no-allocate, so the store write-through traffic the
-    // hierarchy forwards to L2 (and its DRAM fetch/write split)
-    // lands in the report.
-    mem::CacheConfig l1;
-    mem::CacheConfig l2;
-    l2.sizeBytes = 256 * 1024;
-    l2.ways = 8;
-    l2.writeAllocate = true;
-    mem::Hierarchy hier(4, l1, l2);
-    Rng rng(99);
-    for (int i = 0; i < 4096; ++i) {
-        mem::WarpAccess wa;
-        wa.smId = static_cast<uint32_t>(i % 4);
-        wa.isStore = i % 3 == 0;
-        uint64_t base = rng.nextBelow(1 << 18) & ~3ull;
-        for (uint64_t lane = 0; lane < 32; ++lane)
-            wa.addresses.push_back(base + lane * 4);
-        hier.access(wa);
-    }
-    hier.publish(m, "mem");
-
-    sassi::bench::BenchJson json("bench_micro_metrics");
-    sassi::bench::BenchRecord rec;
-    rec.name = "registry";
-    rec.threads = 0;
-    for (const auto &[name, value] : m.counters())
-        rec.extra.emplace_back(name, static_cast<double>(value));
-    for (const auto &[name, h] : m.histograms()) {
-        rec.extra.emplace_back(name + "/count",
-                               static_cast<double>(h.count));
-        rec.extra.emplace_back(name + "/sum",
-                               static_cast<double>(h.sum));
-        if (h.count) {
-            rec.extra.emplace_back(name + "/min",
-                                   static_cast<double>(h.min));
-            rec.extra.emplace_back(name + "/max",
-                                   static_cast<double>(h.max));
-        }
-    }
-    json.add(rec);
-    if (json.write())
-        std::printf("wrote BENCH_simt.json (metrics section)\n");
-}
-
 } // namespace
 
-int
-main(int argc, char **argv)
-{
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    runScalingReport();
-    runMetricsReport();
-    return 0;
-}
+BENCHMARK_MAIN();

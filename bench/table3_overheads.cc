@@ -13,16 +13,13 @@
  * value/error) and the CPU-bound apps' T staying near 1.
  */
 
-#include <chrono>
 #include <iostream>
 
 #include "bench_common.h"
-#include "bench_json.h"
 #include "handlers/branch_profiler.h"
 #include "handlers/error_injector.h"
 #include "handlers/memdiv_profiler.h"
 #include "handlers/value_profiler.h"
-#include "simt/thread_pool.h"
 
 using namespace sassi;
 using namespace sassi::bench;
@@ -32,9 +29,8 @@ namespace {
 
 struct StudyResult
 {
-    double t = 0;    //!< Whole-program slowdown (modeled proxy).
-    double k = 0;    //!< Kernel-level slowdown (modeled proxy).
-    double wall = 0; //!< Instrumented run wall-clock, seconds.
+    double t = 0; //!< Whole-program slowdown (modeled proxy).
+    double k = 0; //!< Kernel-level slowdown (modeled proxy).
 };
 
 /** Run one case study over a fresh device and compute T and K. */
@@ -51,16 +47,11 @@ runStudy(const workloads::SuiteEntry &entry,
     rt.instrument(opts);
     auto tool = make_tool(dev, rt);
     (void)tool;
-    auto t0 = std::chrono::steady_clock::now();
     RunOutcome out = runAll(*w, dev);
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
     fatal_if(!out.last.ok() || !out.verified, "%s failed under %s",
              entry.name.c_str(), opts.describe().c_str());
     uint64_t kernel = out.total.kernelTimeProxy();
     StudyResult r;
-    r.wall = secs;
     r.k = static_cast<double>(kernel) /
           static_cast<double>(base_kernel);
     r.t = static_cast<double>(out.hostProxy + kernel) /
@@ -82,50 +73,19 @@ main()
                  "Launches", "CS1 T", "CS1 K", "CS2 T", "CS2 K",
                  "CS3 T", "CS3 K", "CS4 T", "CS4 K"});
 
-    // Machine-readable mirror of the run (BENCH_simt.json): wall
-    // time and simulator throughput per baseline workload, at the
-    // worker-thread count the launches resolve to. Written silently
-    // so the table text stays byte-stable.
-    bench::BenchJson json("table3_overheads");
-    const int sim_threads =
-        simt::resolveSimThreads(0, ~0ull >> 1);
-    double total_wall = 0;
-    uint64_t total_instrs = 0;
-
     double max_k = 0;
     for (const auto &entry : workloads::fullSuite()) {
         uint64_t base_kernel, base_host, launches;
-        double base_wall = 0;
         {
             auto w = entry.make();
             simt::Device dev;
             w->setup(dev);
-            auto t0 = std::chrono::steady_clock::now();
             RunOutcome out = runAll(*w, dev);
-            double secs = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
             fatal_if(!out.last.ok() || !out.verified,
                      "%s baseline failed", entry.name.c_str());
             base_kernel = out.total.kernelTimeProxy();
             base_host = out.hostProxy;
             launches = out.launches;
-            base_wall = secs;
-
-            total_wall += secs;
-            total_instrs += out.total.warpInstrs;
-            bench::BenchRecord rec;
-            rec.name = entry.suite + "/" + entry.name;
-            rec.wallSeconds = secs;
-            rec.warpInstrsPerSec =
-                secs > 0 ? static_cast<double>(out.total.warpInstrs) /
-                               secs
-                         : 0;
-            rec.threads = sim_threads;
-            rec.extra.emplace_back(
-                "warp_instrs",
-                static_cast<double>(out.total.warpInstrs));
-            json.add(rec);
         }
 
         StudyResult cs1 = runStudy(
@@ -154,28 +114,6 @@ main()
             },
             base_kernel, base_host);
 
-        // Per-tool slowdown-ratio records: the trajectory the paper's
-        // Table 3 tracks. T/K are the modeled proxy ratios from the
-        // table; wall_slowdown is the measured instrumented /
-        // uninstrumented wall-clock ratio of this run.
-        const struct { const char *tool; const StudyResult *r; }
-            studies[] = {{"branch_profiler", &cs1},
-                         {"memdiv_profiler", &cs2},
-                         {"value_profiler", &cs3},
-                         {"error_injector", &cs4}};
-        for (const auto &s : studies) {
-            bench::BenchRecord rec;
-            rec.name = entry.suite + "/" + entry.name + "/" + s.tool;
-            rec.wallSeconds = s.r->wall;
-            rec.threads = sim_threads;
-            rec.extra.emplace_back("slowdown_t", s.r->t);
-            rec.extra.emplace_back("slowdown_k", s.r->k);
-            rec.extra.emplace_back(
-                "wall_slowdown",
-                base_wall > 0 ? s.r->wall / base_wall : 0);
-            json.add(rec);
-        }
-
         max_k = std::max({max_k, cs1.k, cs2.k, cs3.k, cs4.k});
         auto fm = [](double v) { return fmtDouble(v, 1); };
         table.addRow({
@@ -188,19 +126,6 @@ main()
             fm(cs3.t), fm(cs3.k) + "k",
             fm(cs4.t), fm(cs4.k) + "k",
         });
-    }
-
-    {
-        bench::BenchRecord rec;
-        rec.name = "suite_baseline_total";
-        rec.wallSeconds = total_wall;
-        rec.warpInstrsPerSec =
-            total_wall > 0
-                ? static_cast<double>(total_instrs) / total_wall
-                : 0;
-        rec.threads = sim_threads;
-        json.add(rec);
-        json.write();
     }
 
     printResults(table, std::cout);

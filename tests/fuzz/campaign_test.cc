@@ -23,6 +23,7 @@
 #include "fuzz/corpus.h"
 #include "sass/instr.h"
 #include "sassir/module.h"
+#include "simt/simd/simd_exec.h"
 
 using namespace sassi;
 using namespace sassi::fuzz;
@@ -106,6 +107,35 @@ TEST(FuzzCampaign, MutationDiscoversCoverageGenerationAloneMisses)
     EXPECT_GT(guided.featuresFromMutation, 0u);
     EXPECT_EQ(plain.featuresFromMutation, 0u);
     EXPECT_EQ(plain.mutated, 0u);
+}
+
+TEST(FuzzCampaign, SeedOneCampaignCountsAreExact)
+{
+    // The campaign's outcome pinned as exact counts: the seed-1,
+    // 300-iteration, one-shard, uninstrumented campaign that
+    // `sassi_fuzz --seed 1 --iters 300 --jobs 1 --no-tools --threads
+    // 1` runs. Any change to the generator, the mutator, coverage
+    // extraction or corpus admission moves these numbers; when such
+    // a change is intended, update them from that command's summary
+    // (docs/TESTING.md).
+    CampaignOptions opt = fastCampaign(1, 300, 1);
+    opt.oracle.threadCounts = {1};
+    CampaignResult res = runCampaign(opt);
+
+    EXPECT_EQ(res.mismatches, 0u);
+    EXPECT_EQ(res.invalid, 0u);
+    EXPECT_EQ(res.passes, res.executed);
+    // Coverage records the executor planes a program ran on, so the
+    // corpus (and with it what mutation draws and dedup skips)
+    // depends on whether the AVX2 tier exists; the pinned values
+    // come from an AVX2 host.
+    if (!simt::simd::cpuHasAvx2())
+        GTEST_SKIP() << "counts pinned on an AVX2 host";
+    EXPECT_EQ(res.executed, 300u);
+    EXPECT_EQ(res.passes, 300u);
+    EXPECT_EQ(res.coverage.size(), 547u);
+    EXPECT_EQ(res.corpus.size(), 175u);
+    EXPECT_EQ(res.corpusHash(), 0x0a9d0f40f974da73ull);
 }
 
 /** Mis-compile a data-pool ALU immediate, but only under the

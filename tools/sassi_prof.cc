@@ -2,8 +2,7 @@
  * @file
  * sassi_prof: run one workload and render its launch-scoped metrics
  * registry — the per-launch counters and histograms the simulator,
- * dispatcher, memory model, and handlers publish — as a table, and
- * merge the counters into BENCH_simt.json under "sassi_prof".
+ * dispatcher, memory model, and handlers publish — as a table.
  *
  * Usage:
  *   sassi_prof [options] [workload]
@@ -14,7 +13,6 @@
  *                    counter so handler metrics appear too
  *     --trace FILE   also record a Chrome trace_event timeline
  *     --csv          emit CSV instead of an aligned table
- *     --no-json      skip the BENCH_simt.json merge
  *     --no-superblocks  force the generic per-instruction
  *                    interpreter path
  *     --no-handler-fastpath  keep fused instrumentation sites on the
@@ -40,7 +38,6 @@
 #include <optional>
 #include <string>
 
-#include "bench/bench_json.h"
 #include "core/sassi.h"
 #include "handlers/instr_counter.h"
 #include "simt/decode.h"
@@ -80,7 +77,6 @@ main(int argc, char **argv)
     int threads = 0;
     bool instrument = false;
     bool csv = false;
-    bool write_json = true;
     int superblocks = -1;
     int handler_fastpath = -1;
     int simd = -1;
@@ -98,8 +94,6 @@ main(int argc, char **argv)
             trace_path = argv[++i];
         } else if (arg == "--csv") {
             csv = true;
-        } else if (arg == "--no-json") {
-            write_json = false;
         } else if (arg == "--no-superblocks") {
             superblocks = 0;
         } else if (arg == "--no-handler-fastpath") {
@@ -222,16 +216,5 @@ main(int argc, char **argv)
             hist.print(std::cout);
     }
 
-    if (write_json) {
-        bench::BenchJson json("sassi_prof");
-        bench::BenchRecord rec;
-        rec.name = entry->name;
-        rec.threads = threads;
-        for (const auto &[name, value] : m.counters())
-            rec.extra.emplace_back(name, static_cast<double>(value));
-        json.add(rec);
-        if (json.write())
-            std::printf("\nwrote BENCH_simt.json (sassi_prof)\n");
-    }
     return verified ? 0 : 2;
 }
