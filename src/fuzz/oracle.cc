@@ -1,6 +1,7 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 
@@ -21,6 +22,43 @@ using namespace sassi::simt;
 
 namespace {
 
+template <typename Tool>
+std::string
+publishedKey(const Tool &tool)
+{
+    Metrics m;
+    tool.publish(m);
+    return m.serialize();
+}
+
+std::string
+valueKey(const handlers::ValueProfiler &tool)
+{
+    std::ostringstream out;
+    for (const auto &v : tool.results()) {
+        out << v.insAddr << ':' << v.weight << ':' << v.numDsts;
+        for (int d = 0; d < 4; ++d) {
+            out << ':' << v.regNum[d] << ':' << v.constantOnes[d]
+                << ':' << v.constantZeros[d] << ':' << v.isScalar[d];
+        }
+        out << '\n';
+    }
+    return out.str();
+}
+
+std::string
+traceKey(const handlers::MemTracer &tool)
+{
+    std::ostringstream out;
+    for (const auto &r : tool.trace()) {
+        out << r.address << ':' << int(r.width) << ':' << r.isStore
+            << ':' << r.insAddr << ':' << r.warpEvent << '\n';
+    }
+    return out.str();
+}
+
+} // namespace
+
 std::string
 statsKeyOf(const LaunchStats &s)
 {
@@ -36,91 +74,34 @@ statsKeyOf(const LaunchStats &s)
     return out.str();
 }
 
-/**
- * Owns whichever tool a configuration runs and renders its
- * aggregate into a comparable string after the launch.
- */
-class ToolBox
+ToolBox::ToolBox(ToolKind kind, Device &dev, core::SassiRuntime &rt)
 {
-  public:
-    ToolBox(ToolKind kind, Device &dev, core::SassiRuntime &rt)
-        : kind_(kind)
-    {
-        switch (kind) {
-          case ToolKind::None:
-            break;
-          case ToolKind::InstrCounter:
-            instr_ = std::make_unique<handlers::InstrCounter>(dev, rt);
-            break;
-          case ToolKind::BlockCounter:
-            block_ = std::make_unique<handlers::BlockCounter>(dev, rt);
-            break;
-          case ToolKind::BranchProfiler:
-            branch_ =
-                std::make_unique<handlers::BranchProfiler>(dev, rt);
-            break;
-          case ToolKind::MemDivProfiler:
-            memdiv_ =
-                std::make_unique<handlers::MemDivProfiler>(dev, rt);
-            break;
-          case ToolKind::ValueProfiler:
-            value_ = std::make_unique<handlers::ValueProfiler>(dev, rt);
-            break;
-          case ToolKind::MemTracer:
-            tracer_ = std::make_unique<handlers::MemTracer>(dev, rt);
-            break;
-        }
+    using namespace handlers;
+    switch (kind) {
+      case ToolKind::None:
+        break;
+      case ToolKind::InstrCounter:
+        *this = make<InstrCounter>(dev, rt, publishedKey<InstrCounter>);
+        break;
+      case ToolKind::BlockCounter:
+        *this = make<BlockCounter>(dev, rt, publishedKey<BlockCounter>);
+        break;
+      case ToolKind::BranchProfiler:
+        *this = make<BranchProfiler>(dev, rt,
+                                     publishedKey<BranchProfiler>);
+        break;
+      case ToolKind::MemDivProfiler:
+        *this = make<MemDivProfiler>(dev, rt,
+                                     publishedKey<MemDivProfiler>);
+        break;
+      case ToolKind::ValueProfiler:
+        *this = make<ValueProfiler>(dev, rt, valueKey);
+        break;
+      case ToolKind::MemTracer:
+        *this = make<MemTracer>(dev, rt, traceKey);
+        break;
     }
-
-    std::string
-    key() const
-    {
-        std::ostringstream out;
-        if (instr_ || block_ || branch_ || memdiv_) {
-            Metrics m;
-            if (instr_)
-                instr_->publish(m);
-            else if (block_)
-                block_->publish(m);
-            else if (branch_)
-                branch_->publish(m);
-            else
-                memdiv_->publish(m);
-            return m.serialize();
-        }
-        if (value_) {
-            for (const auto &v : value_->results()) {
-                out << v.insAddr << ':' << v.weight << ':'
-                    << v.numDsts;
-                for (int d = 0; d < 4; ++d) {
-                    out << ':' << v.regNum[d] << ':'
-                        << v.constantOnes[d] << ':'
-                        << v.constantZeros[d] << ':' << v.isScalar[d];
-                }
-                out << '\n';
-            }
-        }
-        if (tracer_) {
-            for (const auto &r : tracer_->trace()) {
-                out << r.address << ':' << int(r.width) << ':'
-                    << r.isStore << ':' << r.insAddr << ':'
-                    << r.warpEvent << '\n';
-            }
-        }
-        return out.str();
-    }
-
-  private:
-    ToolKind kind_;
-    std::unique_ptr<handlers::InstrCounter> instr_;
-    std::unique_ptr<handlers::BlockCounter> block_;
-    std::unique_ptr<handlers::BranchProfiler> branch_;
-    std::unique_ptr<handlers::MemDivProfiler> memdiv_;
-    std::unique_ptr<handlers::ValueProfiler> value_;
-    std::unique_ptr<handlers::MemTracer> tracer_;
-};
-
-} // namespace
+}
 
 const char *
 toolName(ToolKind t)
@@ -236,13 +217,11 @@ runConfig(const FuzzProgram &p, const OracleConfig &cfg,
     }
 
     std::unique_ptr<core::SassiRuntime> rt;
-    std::unique_ptr<ToolBox> tool;
+    ToolBox tool;
     if (cfg.tool != ToolKind::None) {
         rt = std::make_unique<core::SassiRuntime>(dev);
         rt->instrument(toolOptions(cfg.tool));
-        // Tools register their handlers against final, instrumented
-        // code, so construction must follow instrument().
-        tool = std::make_unique<ToolBox>(cfg.tool, dev, *rt);
+        tool = ToolBox(cfg.tool, dev, *rt);
     }
 
     KernelArgs args;
@@ -274,8 +253,7 @@ runConfig(const FuzzProgram &p, const OracleConfig &cfg,
         obs.digest = fnv1a(bytes.data(), bytes.size());
         obs.statsKey = statsKeyOf(r.stats);
         obs.metricsKey = r.metrics.serialize();
-        if (tool)
-            obs.toolKey = tool->key();
+        obs.toolKey = tool.key();
     }
     return obs;
 }
@@ -293,14 +271,7 @@ runOracle(const FuzzProgram &p, const OracleOptions &opt)
             tools.push_back(static_cast<ToolKind>(t));
     }
 
-    // Dispatch modes: superblocks off, on (scalar and SIMD uop
-    // tiers), and on with the compiled-handler fast path (again
-    // both tiers). Fast path or SIMD without superblocks are not
-    // distinct modes — fused sites and the vector tier both live
-    // under the superblock executor, so the flags are ignored there.
-    static constexpr struct { int sb, fp, sd; } kModes[] = {
-        {0, 0, 0}, {1, 0, 0}, {1, 0, 1}, {1, 1, 0}, {1, 1, 1}};
-    constexpr int kNumModes = 5;
+    constexpr int kNumModes = std::size(kModes);
 
     report.coverage = staticSignature(p);
     auto observe = [&](const RunObservation &obs) {

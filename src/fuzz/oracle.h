@@ -30,13 +30,23 @@
 #define SASSI_FUZZ_ORACLE_H
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/options.h"
 #include "fuzz/coverage.h"
 #include "fuzz/program.h"
 #include "simt/launch.h"
+
+namespace sassi::core {
+class SassiRuntime;
+}
+
+namespace sassi::simt {
+class Device;
+}
 
 namespace sassi::fuzz {
 
@@ -80,6 +90,81 @@ struct OracleConfig
     /** @return e.g.\ "tool=instr_counter threads=8 superblocks=1
      *  fastpath=1 simd=1". */
     std::string describe() const;
+};
+
+/**
+ * One dispatch mode: the values of the three LaunchOptions plane
+ * switches (superblocks, handlerFastpath, simd) a run uses.
+ */
+struct DispatchMode
+{
+    const char *name;
+    int sb, fp, sd;
+};
+
+/**
+ * The dispatch modes the oracle sweeps, kModes[0] being the generic
+ * plane every other mode must match: superblocks off, on (scalar and
+ * SIMD uop tiers), and on with the compiled-handler fast path (again
+ * both tiers). Fast path or SIMD without superblocks are not
+ * distinct modes -- fused sites and the vector tier both live under
+ * the superblock executor, so the flags are ignored there.
+ */
+inline constexpr DispatchMode kModes[] = {{"generic", 0, 0, 0},
+                                          {"superblock", 1, 0, 0},
+                                          {"simd", 1, 0, 1},
+                                          {"fused", 1, 1, 0},
+                                          {"fused_simd", 1, 1, 1}};
+
+/**
+ * @return the kModes row called name. Evaluated at compile time, so
+ * naming a mode the table no longer has fails to compile.
+ */
+consteval const DispatchMode &
+mode(std::string_view name)
+{
+    for (const DispatchMode &m : kModes) {
+        if (name == m.name)
+            return m;
+    }
+    throw "no dispatch mode of that name";
+}
+
+/** @return the LaunchStats counters, rendered for comparison. */
+std::string statsKeyOf(const simt::LaunchStats &s);
+
+/**
+ * Owns the tool one run is instrumented with and renders its
+ * aggregate into a comparable string after the launch. Construct it
+ * after SassiRuntime::instrument(), so the tool's handlers register
+ * against final, instrumented code.
+ */
+class ToolBox
+{
+  public:
+    /** No tool: key() is empty. */
+    ToolBox() = default;
+
+    /** One of the oracle's tools, rendered the oracle's way. */
+    ToolBox(ToolKind kind, simt::Device &dev, core::SassiRuntime &rt);
+
+    /** Any tool constructible as Tool(dev, rt), rendered by
+     *  render(const Tool &). */
+    template <typename Tool, typename Render>
+    static ToolBox
+    make(simt::Device &dev, core::SassiRuntime &rt, Render render)
+    {
+        ToolBox box;
+        auto tool = std::make_shared<const Tool>(dev, rt);
+        box.key_ = [tool, render] { return render(*tool); };
+        return box;
+    }
+
+    /** @return the tool's aggregate, rendered (empty for no tool). */
+    std::string key() const { return key_ ? key_() : std::string(); }
+
+  private:
+    std::function<std::string()> key_;
 };
 
 /** Everything observed from one run of one configuration. */

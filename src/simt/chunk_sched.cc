@@ -1,7 +1,6 @@
 #include "simt/chunk_sched.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace sassi::simt {
 
@@ -66,17 +65,6 @@ ChunkScheduler::defaultChunkCtas(uint64_t total_ctas, int workers)
     // grids.
     uint64_t c = total_ctas / (w * 8);
     return std::clamp<uint64_t>(c, 1, 256);
-}
-
-uint64_t
-ChunkScheduler::resolveChunkCtas(uint64_t total_ctas, int workers)
-{
-    if (const char *env = std::getenv("SASSI_SIM_CHUNK_CTAS")) {
-        long v = std::atol(env);
-        if (v > 0)
-            return static_cast<uint64_t>(v);
-    }
-    return defaultChunkCtas(total_ctas, workers);
 }
 
 } // namespace sassi::simt

@@ -84,9 +84,6 @@ class ChunkScheduler
      */
     static uint64_t defaultChunkCtas(uint64_t total_ctas, int workers);
 
-    /** Chunk size after the SASSI_SIM_CHUNK_CTAS override. */
-    static uint64_t resolveChunkCtas(uint64_t total_ctas, int workers);
-
   private:
     /**
      * One worker's deque. The dealt chunk ids are contiguous, so the

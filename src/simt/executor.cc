@@ -125,7 +125,7 @@ Executor::run()
     const uint64_t total = grid_.count();
     int workers = resolveSimThreads(opts_.numThreads, total);
     const uint64_t chunk_ctas =
-        ChunkScheduler::resolveChunkCtas(total, workers);
+        ChunkScheduler::defaultChunkCtas(total, workers);
     const uint64_t chunks = (total + chunk_ctas - 1) / chunk_ctas;
     // A worker with no chunk to start from would only ever steal;
     // don't spin one up.

@@ -142,9 +142,14 @@ struct LaunchOptions
 
     /**
      * Worker threads executing the CTA grid. CTAs are independent up
-     * to global atomics, so they shard across workers; per-worker
-     * statistics are merged in worker order, keeping all LaunchStats
-     * counters thread-count-invariant. 1 preserves the historical
+     * to global atomics, so they shard across scheduler chunks of
+     * contiguous CTAs. LaunchStats merge in chunk (ascending CTA)
+     * order, so which worker ran a chunk never shows; only the
+     * metrics registry and the counter shards, whose merges commute,
+     * merge in worker order. Both keep every LaunchStats counter and
+     * the registry of a completed launch thread-count-invariant; a
+     * faulting launch's stats stop at the faulting CTA, but its
+     * registry keeps what other workers ran. 1 preserves the historical
      * strictly-serial execution byte for byte; 0 means auto — the
      * SASSI_SIM_THREADS environment variable when set, otherwise
      * hardware concurrency. Launches whose output depends on the

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <vector>
 
 #include "core/sassi.h"
 #include "handlers/bb_counter.h"
@@ -461,6 +463,94 @@ TEST(Intrinsics, WarpOpInFastPathHandlerDies)
     EXPECT_DEATH(dev.launch("fastpath", Dim3(1), Dim3(32),
                             KernelArgs()),
                  "intrinsic");
+}
+
+TEST(Intrinsics, AtomicsLoadsAndVotesMatchHost)
+{
+    // The documented intrinsics no bundled tool calls, each checked
+    // against a host-computed value on one 24-lane partial warp:
+    // atomics and devLoad64 from a lane-loop handler, then any and
+    // shflF from a warp-synchronous handler on fibers.
+    constexpr int kLanes = 24;
+    constexpr uint32_t kLaneBits = (1u << kLanes) - 1;
+    constexpr uint64_t kLoaded = 0x0123456789abcdefull;
+    constexpr uint32_t kExchInit = 7;
+    KernelBuilder kb("intrinsics");
+    kb.exit(); // One site per thread.
+    Device dev;
+    loadKernel(dev, kb.finish());
+    core::SassiRuntime rt(dev);
+    core::InstrumentOptions opts;
+    opts.beforeAll = true;
+    rt.instrument(opts);
+
+    // Words: and32, or32, max32, exch32, then 64-bit and64, load64,
+    // loadSum, exchOldSum, then kLanes shuffled floats.
+    const uint64_t w32 = dev.malloc(16 + 32 + kLanes * 4);
+    const uint64_t w64 = w32 + 16;
+    const uint64_t shuffled = w64 + 32;
+    const uint32_t init32[4] = {~0u, 0, 0, kExchInit};
+    const uint64_t init64[4] = {~0ull, kLoaded, 0, 0};
+    dev.memcpyHtoD(w32, init32, sizeof(init32));
+    dev.memcpyHtoD(w64, init64, sizeof(init64));
+
+    core::HandlerTraits laneLoop;
+    laneLoop.warpSynchronous = false;
+    rt.setBeforeHandler([&](const core::HandlerEnv &env) {
+        const uint32_t lane = env.lane;
+        cuda::atomicAnd32(w32, ~(1u << lane));
+        cuda::atomicOr32(w32 + 4, 1u << lane);
+        cuda::atomicMax32(w32 + 8, lane * 7 + 3);
+        const uint32_t old = cuda::atomicExch32(w32 + 12, 0x100 + lane);
+        cuda::atomicAnd64(w64, ~(1ull << (lane + 32)));
+        cuda::atomicAdd64(w64 + 16, cuda::devLoad64(w64 + 8) + lane);
+        cuda::atomicAdd64(w64 + 24, old);
+    }, laneLoop);
+    ASSERT_TRUE(dev.launch("intrinsics", Dim3(1), Dim3(kLanes),
+                           KernelArgs()).ok());
+
+    rt.setBeforeHandler([&](const core::HandlerEnv &env) {
+        const int lane = env.lane;
+        const int votes =
+            cuda::any(lane == 17) + 2 * cuda::any(lane >= kLanes);
+        const float got =
+            cuda::shflF(1.5f * float(lane), (lane + 1) % kLanes);
+        uint32_t bits;
+        std::memcpy(&bits, &got, 4);
+        cuda::devStore32(shuffled + 4 * lane, bits + votes);
+    });
+    ASSERT_TRUE(dev.launch("intrinsics", Dim3(1), Dim3(kLanes),
+                           KernelArgs()).ok());
+
+    uint32_t got32[4];
+    uint64_t got64[4];
+    std::vector<uint32_t> got(kLanes);
+    dev.memcpyDtoH(got32, w32, sizeof(got32));
+    dev.memcpyDtoH(got64, w64, sizeof(got64));
+    dev.memcpyDtoH(got.data(), shuffled, kLanes * 4);
+
+    uint64_t laneSum = 0, exchSum = kExchInit;
+    for (uint32_t lane = 0; lane < kLanes; ++lane) {
+        laneSum += lane;
+        exchSum += 0x100 + lane;
+    }
+    EXPECT_EQ(got32[0], ~kLaneBits);
+    EXPECT_EQ(got32[1], kLaneBits);
+    EXPECT_EQ(got32[2], uint32_t(kLanes - 1) * 7 + 3);
+    // The exchanges chain: the final word plus every returned old
+    // value is the initial word plus every value exchanged in.
+    EXPECT_GE(got32[3], 0x100u);
+    EXPECT_LT(got32[3], 0x100u + kLanes);
+    EXPECT_EQ(got32[3] + got64[3], exchSum);
+    EXPECT_EQ(got64[0], ~(uint64_t(kLaneBits) << 32));
+    EXPECT_EQ(got64[1], kLoaded);
+    EXPECT_EQ(got64[2], kLanes * kLoaded + laneSum);
+    for (int lane = 0; lane < kLanes; ++lane) {
+        const float want = 1.5f * float((lane + 1) % kLanes);
+        uint32_t bits;
+        std::memcpy(&bits, &want, 4);
+        EXPECT_EQ(got[lane], bits + 1) << "lane " << lane;
+    }
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -34,6 +33,9 @@ using sassi::ir::Label;
 
 namespace {
 
+/** The scheduler deals a 64-CTA grid as 16 chunks of 4 CTAs at 2
+ *  workers and 64 single-CTA chunks at 8, so the work-stealing paths
+ *  (owner pop, thief pop, deque handoff) run on these grids. */
 constexpr int kCtas = 64;
 constexpr int kBlock = 64;
 constexpr int kThreadCounts[] = {1, 2, 8};
@@ -337,18 +339,6 @@ TEST(ParallelHandlers, BlockCounterInvariantAcrossThreads)
 }
 
 /**
- * RAII guard forcing 1-CTA scheduler chunks for a test's duration,
- * so every grid decomposes into many stealable chunks and the
- * work-stealing paths (owner pop, thief pop, deque handoff) run
- * even on small grids.
- */
-struct ForceTinyChunks
-{
-    ForceTinyChunks() { setenv("SASSI_SIM_CHUNK_CTAS", "1", 1); }
-    ~ForceTinyChunks() { unsetenv("SASSI_SIM_CHUNK_CTAS"); }
-};
-
-/**
  * A deliberately imbalanced grid: every thread iterates tid+1
  * times, and CTA 0 additionally runs 2048 extra iterations, so the
  * worker that drew CTA 0 grinds while its siblings go idle and must
@@ -392,7 +382,6 @@ buildImbalanced()
 
 TEST(ParallelDeterminism, WorkStealingImbalancedGridBitIdentical)
 {
-    ForceTinyChunks tiny;
     LaunchResult ref;
     std::vector<uint32_t> ref_out;
     for (int i = 0; i < 3; ++i) {
@@ -427,7 +416,6 @@ TEST(ParallelDeterminism, WorkStealingImbalancedGridBitIdentical)
 
 TEST(ParallelHandlers, InstrCounterImbalancedGridInvariant)
 {
-    ForceTinyChunks tiny;
     std::array<uint64_t, handlers::InstrCounter::NumCategories> ref{};
     for (int i = 0; i < 3; ++i) {
         int threads = kThreadCounts[i];
@@ -471,7 +459,6 @@ TEST(ParallelHandlers, InstrCounterImbalancedGridInvariant)
  */
 TEST(ParallelDeterminism, StolenChunkFaultReportsEarliestCta)
 {
-    ForceTinyChunks tiny;
     LaunchResult ref;
     for (int i = 0; i < 3; ++i) {
         int threads = kThreadCounts[i];
