@@ -1,5 +1,6 @@
 #include "core/runtime.h"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <memory>
@@ -192,6 +193,15 @@ SassiRuntime::addSite(SiteInfo site)
                           site.kernelName.c_str(), site.origPc);
     site.metricFlavor =
         std::string("core/dispatch/flavor/") + flavorName(site.flavor);
+    // Once per site: dstRegs()/srcRegs() allocate.
+    if (site.hasRegParams) {
+        const auto names_sp = [](const std::vector<sass::RegId> &regs) {
+            return std::ranges::find(regs, sass::abi::StackPtr) !=
+                   regs.end();
+        };
+        site.regParamsNameStackPtr = names_sp(site.instr.dstRegs()) ||
+                                     names_sp(site.instr.srcRegs());
+    }
     sites_.push_back(std::move(site));
     return static_cast<int32_t>(sites_.size()) - 1;
 }
@@ -224,10 +234,13 @@ SassiRuntime::inlineDispatchable(int32_t site_key)
     // A null handler (metrics-only dispatch) always qualifies;
     // otherwise the handler must be reentrant-safe and, when
     // warp-synchronous, supply a warp-level body (there are no
-    // fibers to rendezvous through inline).
-    const Slot &s = slot(sites_.at(static_cast<size_t>(site_key)));
+    // fibers to rendezvous through inline). A register-info site
+    // that names R1 stays generic: the handler would read a
+    // different live R1 inside a fused site.
+    const SiteInfo &site = sites_.at(static_cast<size_t>(site_key));
+    const Slot &s = slot(site);
     return !s.handler ||
-           (s.traits.reentrantSafe &&
+           (s.traits.reentrantSafe && !site.regParamsNameStackPtr &&
             (!s.traits.warpSynchronous || s.traits.warpFn));
 }
 
@@ -263,8 +276,9 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
     // per-(site, warp) arena. A generic JCAL rebinds its active
     // lanes in one per-thread array: an arena pool there would keep
     // ~8.5 KB per (site, warp rank) alive for the thread's lifetime,
-    // for dispatches (the error-injection campaigns) that mostly
-    // touch each pair once.
+    // on a path that only serves launches with the fast path off,
+    // handlers that are not inline-safe, and sites that must stay
+    // generic (R1 register info, a spent watchdog budget).
     const HandlerEnv *envs;
     if (fused) {
         static thread_local ArenaPool arena_pool;

@@ -130,16 +130,25 @@ struct HandlerTraits
     /**
      * Whether the handler may be invoked inline from the
      * interpreter's fused-site fast path (simt/site_fuse.h), with no
-     * fiber group backing it. An inline-safe handler must never
-     * suspend (no warp-rendezvous intrinsics outside warpFn) and
-     * must not read scratch registers that were not spilled for
-     * the call: the fused path calls it before the ABI scratch
-     * registers (R2-R13) take their post-prologue values, so
-     * SASSIRegisterParams reads of unspilled scratch registers would
-     * differ from the fiber path. All bundled counters/profilers
-     * satisfy this; anything that suspends (value profiler's
-     * spin-lock ballot loops) or depends on raw scratch state must
-     * leave it false.
+     * fiber group backing it. The contract:
+     *  - the handler never suspends: no warp-rendezvous intrinsic
+     *    outside warpFn;
+     *  - it touches registers only through the slots the prologue
+     *    spilled (the site's live registers and, with register info,
+     *    its destinations). The fused path calls it before the ABI
+     *    scratch registers (R2-R13) take their post-prologue values,
+     *    so a raw read of an unspilled scratch register would differ
+     *    from the generic path. Writes through SetRegValue/
+     *    SetPredValue/SetCCValue land in the frame and flag the
+     *    dispatch, so the fused epilogue replays the fills exactly
+     *    as the generic one does;
+     *  - the stack pointer is the one register the pass never
+     *    spills, so register-info sites whose instruction names R1
+     *    are never inlined, whatever this flag says (SiteInfo::
+     *    regParamsNameStackPtr).
+     * Every bundled tool satisfies it, the error injector included;
+     * a handler that suspends or reads raw scratch state must leave
+     * it false.
      */
     bool reentrantSafe = false;
 
@@ -267,7 +276,8 @@ class SassiRuntime : public simt::HandlerDispatcher
     /**
      * A site is inline-dispatchable when its handler is marked
      * reentrantSafe and either iterates lanes directly
-     * (!warpSynchronous) or supplies a warpFn; a null handler
+     * (!warpSynchronous) or supplies a warpFn, unless the site has
+     * register info on an instruction that names R1; a null handler
      * (metrics-only dispatch) always qualifies.
      */
     bool inlineDispatchable(int32_t site_key) override;

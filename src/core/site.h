@@ -126,6 +126,15 @@ struct SiteInfo
     bool hasRegParams = false;
 
     /**
+     * hasRegParams, and the instruction reads or writes the stack
+     * pointer (R1). Set by SassiRuntime::addSite. R1 is never
+     * spilled, so GetRegValue(R1) reads the live register: entry
+     * minus the frame on the generic path, the entry value inside a
+     * fused site. Such sites therefore always dispatch generically.
+     */
+    bool regParamsNameStackPtr = false;
+
+    /**
      * Launch-registry keys, precomputed by SassiRuntime::addSite so
      * both dispatch paths (fiber and inline) bump the exact same
      * strings without per-dispatch formatting.

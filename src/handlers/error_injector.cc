@@ -83,17 +83,16 @@ ErrorInjectionProfiler::ErrorInjectionProfiler(simt::Device &dev,
     dev_.memset(counters_, 0, max_threads_ * 4);
 
     uint64_t counters = counters_;
-    uint64_t max = max_threads_;
     core::HandlerTraits traits;
     traits.warpSynchronous = false; // Pure per-lane counting.
-    rt.setAfterHandler([counters, max](const core::HandlerEnv &env) {
+    traits.reentrantSafe = true;    // Reads only frame params.
+    // Every launch fits in the counters (checked at launch).
+    rt.setAfterHandler([counters](const core::HandlerEnv &env) {
         if (!env.bp.GetInstrWillExecute())
             return;
         if (eligibleDsts(env).empty())
             return;
-        uint64_t gtid = globalThread(env);
-        if (gtid < max)
-            cuda::atomicAdd32(counters + gtid * 4, 1);
+        cuda::atomicAdd32(counters + globalThread(env) * 4, 1);
     }, traits);
 
     if (include_stores) {
@@ -101,14 +100,13 @@ ErrorInjectionProfiler::ErrorInjectionProfiler(simt::Device &dev,
         dev_.memset(store_counters_, 0, max_threads_ * 4);
         uint64_t store_counters = store_counters_;
         rt.setBeforeHandler(
-            [store_counters, max](const core::HandlerEnv &env) {
+            [store_counters](const core::HandlerEnv &env) {
                 if (!env.bp.GetInstrWillExecute())
                     return;
                 if (!env.bp.IsMemWrite() || env.bp.IsSpillOrFill())
                     return;
-                uint64_t gtid = globalThread(env);
-                if (gtid < max)
-                    cuda::atomicAdd32(store_counters + gtid * 4, 1);
+                cuda::atomicAdd32(
+                    store_counters + globalThread(env) * 4, 1);
             },
             traits);
     }
@@ -118,8 +116,14 @@ ErrorInjectionProfiler::ErrorInjectionProfiler(simt::Device &dev,
         uint64_t threads =
             static_cast<uint64_t>(data.grid[0]) * data.grid[1] *
             data.grid[2] * data.block[0] * data.block[1] * data.block[2];
-        threads = std::min(threads, max_threads_);
         if (cb_site == cupti::CallbackSite::KernelLaunch) {
+            // Dropping threads past the bound would bias selection.
+            fatal_if(threads > max_threads_,
+                     "census of '%s' launches %llu threads, more than "
+                     "its bound of %llu",
+                     data.kernelName.c_str(),
+                     static_cast<unsigned long long>(threads),
+                     static_cast<unsigned long long>(max_threads_));
             dev_.memset(counters_, 0, threads * 4);
             if (store_counters_)
                 dev_.memset(store_counters_, 0, threads * 4);
@@ -195,6 +199,10 @@ ErrorInjector::ErrorInjector(simt::Device &dev, core::SassiRuntime &rt,
     ErrorInjector *self = this;
     core::HandlerTraits traits;
     traits.warpSynchronous = false;
+    // Writes go through the spill slots (SetRegValue/SetPredValue/
+    // SetCCValue), so a fused epilogue replays them like a generic
+    // one.
+    traits.reentrantSafe = true;
     // The leading kernel/invocation/thread tests are warp-uniform;
     // skip warps that cannot contain the target thread.
     traits.warpFilter = [armed, s](simt::Executor &exec,

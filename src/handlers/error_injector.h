@@ -87,13 +87,19 @@ class ErrorInjectionProfiler
     /**
      * @param dev Device under test.
      * @param rt Runtime instrumented with options(include_stores).
-     * @param max_threads Upper bound on threads per launch.
+     * @param max_threads Upper bound on threads per launch; a
+     *        launch with more threads is fatal.
      * @param include_stores Also census store instructions for the
      *        SASSIFI-style StoreValue/StoreAddress error models.
      */
     ErrorInjectionProfiler(simt::Device &dev, core::SassiRuntime &rt,
                            uint64_t max_threads = 1 << 16,
                            bool include_stores = false);
+
+    // The registered callbacks capture this.
+    ErrorInjectionProfiler(const ErrorInjectionProfiler &) = delete;
+    ErrorInjectionProfiler &
+    operator=(const ErrorInjectionProfiler &) = delete;
 
     /** @return register-write census for every launch so far. */
     const std::vector<LaunchProfile> &profiles() const
@@ -149,6 +155,10 @@ class ErrorInjector
      */
     ErrorInjector(simt::Device &dev, core::SassiRuntime &rt,
                   InjectionSite site);
+
+    // The registered handlers capture this.
+    ErrorInjector(const ErrorInjector &) = delete;
+    ErrorInjector &operator=(const ErrorInjector &) = delete;
 
     /** @return whether the flip actually happened. */
     bool injected() const;

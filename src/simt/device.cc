@@ -22,8 +22,11 @@ outcomeName(Outcome o)
 }
 
 Device::Device(size_t heap_bytes)
+    : heap_(static_cast<uint8_t *>(std::calloc(heap_bytes, 1))),
+      heap_capacity_(heap_bytes)
 {
-    heap_.reserve(heap_bytes);
+    fatal_if(!heap_ && heap_bytes,
+             "cannot allocate a %zu-byte device heap", heap_bytes);
 }
 
 uint64_t
@@ -32,10 +35,9 @@ Device::malloc(size_t bytes, size_t align)
     std::lock_guard<std::mutex> lock(mem_mutex_);
     uint64_t addr = (brk_ + align - 1) & ~(static_cast<uint64_t>(align) - 1);
     uint64_t end = addr + bytes;
-    fatal_if(end - GlobalBase > heap_.capacity(),
+    fatal_if(end - GlobalBase > heap_capacity_,
              "device out of memory: %zu bytes requested", bytes);
-    if (end - GlobalBase > heap_.size())
-        heap_.resize(end - GlobalBase, 0);
+    heap_size_ = std::max<size_t>(heap_size_, end - GlobalBase);
     brk_ = end;
     return addr;
 }
@@ -44,14 +46,13 @@ void
 Device::mapSlack(size_t bytes)
 {
     std::lock_guard<std::mutex> lock(mem_mutex_);
-    size_t want = heap_.size() + bytes;
-    heap_.resize(std::min(want, heap_.capacity()), 0);
+    heap_size_ = std::min(heap_size_ + bytes, heap_capacity_);
 }
 
 bool
 Device::isGlobal(uint64_t addr) const
 {
-    return addr >= GlobalBase && addr - GlobalBase < heap_.size();
+    return addr >= GlobalBase && addr - GlobalBase < heap_size_;
 }
 
 uint8_t *
@@ -60,9 +61,9 @@ Device::globalPtr(uint64_t addr, size_t n)
     if (addr < GlobalBase)
         return nullptr;
     uint64_t off = addr - GlobalBase;
-    if (off + n > heap_.size())
+    if (off + n > heap_size_)
         return nullptr;
-    return heap_.data() + off;
+    return heap_.get() + off;
 }
 
 const uint8_t *

@@ -14,9 +14,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "cupti/callbacks.h"
 #include "sassir/module.h"
@@ -77,12 +78,14 @@ class Device
     bool isGlobal(uint64_t addr) const;
 
     /**
-     * Map (zero-filled) heap beyond the current allocations, up to
-     * the heap capacity. Real devices map at allocation granularity
-     * far beyond what an application touches, so many corrupted
+     * Map zeroed heap beyond the current allocations, up to the heap
+     * capacity. Real devices map at allocation granularity far
+     * beyond what an application touches, so many corrupted
      * addresses still hit mapped memory instead of faulting; the
      * error-injection study uses this to avoid over-reporting
-     * crashes (see EXPERIMENTS.md).
+     * crashes (see EXPERIMENTS.md). Only the mapped mark moves: the
+     * whole capacity was allocated zeroed at construction, and a
+     * page costs memory only once the program touches it.
      */
     void mapSlack(size_t bytes);
 
@@ -164,11 +167,22 @@ class Device
     }
 
   private:
-    // The heap's capacity is reserved up front and resize never
-    // exceeds it, so heap_.data() stays stable while parallel CTA
-    // workers hold pointers into it; mem_mutex_ serializes the
-    // allocator bookkeeping (brk_, size growth) itself.
-    std::vector<uint8_t> heap_;
+    struct FreeDeleter
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+
+    // One zeroed allocation of the full capacity, made at
+    // construction (calloc: at this size the pages are demand-zero,
+    // so untouched heap costs nothing). heap_ never moves while
+    // parallel CTA workers hold pointers into it. heap_size_ is the
+    // mapped high-water mark: malloc and mapSlack only raise it,
+    // and bytes below it that were never written still read zero.
+    // mem_mutex_ serializes the allocator bookkeeping (brk_,
+    // heap_size_).
+    std::unique_ptr<uint8_t[], FreeDeleter> heap_;
+    const size_t heap_capacity_;
+    size_t heap_size_ = 0;
     uint64_t brk_ = GlobalBase;
     std::mutex mem_mutex_;
     ir::Module module_;

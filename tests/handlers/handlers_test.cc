@@ -289,6 +289,70 @@ TEST(ErrorInjector, ProfilesAndInjectsAtSelectedSite)
     EXPECT_EQ(injected, 20);
 }
 
+TEST(ErrorInjector, CensusAndInjectionDispatchInline)
+{
+    // Both error tools are reentrant-safe lane loops: with the fast
+    // path on, every site they instrument runs fused, none falls back
+    // to the generic JCAL, and no dispatch needs a fiber.
+    auto fastPath = [](workloads::Workload &w) {
+        w.launchOptions.superblocks = 1;
+        w.launchOptions.handlerFastpath = 1;
+    };
+    auto expectInline = [](const LaunchResult &r) {
+        EXPECT_EQ(r.dispatch.inlineFallbacks, 0u);
+        EXPECT_GT(r.dispatch.inlineHandlerCalls, 0u);
+        EXPECT_EQ(r.dispatch.fiberHandlerCalls, 0u);
+    };
+    std::vector<ErrorInjectionProfiler::LaunchProfile> profiles[2];
+    for (bool stores : {false, true}) {
+        SCOPED_TRACE(stores ? "census with stores" : "census");
+        auto w = workloads::makeVecAdd(256);
+        fastPath(*w);
+        Device dev;
+        w->setup(dev);
+        core::SassiRuntime rt(dev);
+        rt.instrument(ErrorInjectionProfiler::options(stores));
+        ErrorInjectionProfiler profiler(dev, rt, 1 << 16, stores);
+        const LaunchResult r = w->run(dev);
+        ASSERT_TRUE(r.ok()) << r.message;
+        expectInline(r);
+        profiles[stores] =
+            stores ? profiler.storeProfiles() : profiler.profiles();
+    }
+
+    for (InjectionMode mode :
+         {InjectionMode::DestReg, InjectionMode::StoreValue,
+          InjectionMode::StoreAddress}) {
+        SCOPED_TRACE(injectionModeName(mode));
+        const bool stores = mode != InjectionMode::DestReg;
+        Rng rng(5);
+        auto sites = selectInjectionSites(profiles[stores], 1, rng);
+        ASSERT_EQ(sites.size(), 1u);
+        sites[0].mode = mode;
+        auto w = workloads::makeVecAdd(256);
+        fastPath(*w);
+        Device dev;
+        w->setup(dev);
+        core::SassiRuntime rt(dev);
+        rt.instrument(ErrorInjector::options(stores));
+        ErrorInjector injector(dev, rt, sites[0]);
+        expectInline(w->run(dev));
+        EXPECT_TRUE(injector.injected());
+    }
+}
+
+TEST(ErrorInjectionProfiler, LaunchBeyondThreadBoundIsFatal)
+{
+    // Dropping the threads past the bound would bias site selection.
+    auto w = workloads::makeVecAdd(256);
+    Device dev;
+    w->setup(dev);
+    core::SassiRuntime rt(dev);
+    rt.instrument(ErrorInjectionProfiler::options());
+    ErrorInjectionProfiler profiler(dev, rt, 255);
+    EXPECT_DEATH((void)w->run(dev), "more than its bound of 255");
+}
+
 TEST(InstrCounter, MatchesExecutorStatistics)
 {
     auto w = workloads::makeVecAdd(512);

@@ -696,4 +696,44 @@ TEST(Executor, BranchToOnePastEndFaultsAtTheBranch)
     EXPECT_NE(r.message.find("pc 0"), std::string::npos) << r.message;
 }
 
+TEST(Device, HeapReadsZeroUntilWrittenAndEndsAtTheMark)
+{
+    // The heap is one zeroed allocation of the full capacity; malloc
+    // and mapSlack only raise the mapped mark.
+    constexpr size_t kCapacity = 8u << 20;
+    Device dev(kCapacity);
+    auto expectZero = [&dev](uint64_t base, size_t bytes) {
+        for (uint64_t off : {uint64_t{0}, uint64_t{bytes / 2},
+                             uint64_t{bytes - 4}})
+            EXPECT_EQ(dev.read<uint32_t>(base + off), 0u) << off;
+    };
+    auto expectMarkAt = [&dev](uint64_t mark) {
+        EXPECT_TRUE(dev.isGlobal(mark - 1));
+        EXPECT_FALSE(dev.isGlobal(mark));
+        EXPECT_NE(dev.globalPtr(mark - 1, 1), nullptr);
+        EXPECT_EQ(dev.globalPtr(mark, 1), nullptr);
+        EXPECT_EQ(dev.globalPtr(mark - 1, 2), nullptr);
+    };
+
+    constexpr size_t kAlloc = 1u << 20;
+    const uint64_t a = dev.malloc(kAlloc);
+    ASSERT_EQ(a, Device::GlobalBase);
+    expectZero(a, kAlloc);
+    expectMarkAt(a + kAlloc);
+    dev.write<uint32_t>(a + kAlloc / 2, 0xdeadbeefu);
+    EXPECT_EQ(dev.read<uint32_t>(a + kAlloc / 2), 0xdeadbeefu);
+
+    constexpr size_t kSlack = 2u << 20;
+    dev.mapSlack(kSlack);
+    expectZero(a + kAlloc, kSlack);
+    expectMarkAt(a + kAlloc + kSlack);
+    dev.write<uint32_t>(a + kAlloc + kSlack - 4, 0x12345678u);
+    EXPECT_EQ(dev.read<uint32_t>(a + kAlloc + kSlack - 4), 0x12345678u);
+
+    // Slack never maps past the capacity, and malloc cannot exceed it.
+    dev.mapSlack(2 * kCapacity);
+    expectMarkAt(Device::GlobalBase + kCapacity);
+    EXPECT_DEATH((void)dev.malloc(kCapacity), "device out of memory");
+}
+
 } // namespace

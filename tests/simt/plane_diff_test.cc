@@ -20,12 +20,16 @@
  *
  * One gtest case is one subject under one column group, named
  * `All/<Group>Diff.WorkloadObservablesMatch/<workload>` or
- * `<Group>HandlerDiff.<Tool>`; the fast-path group adds the fiber-only
- * census, a register-writing handler and two handler faults, and
- * `HandlerInlineDiff.<case>` compares fused_simd with simd, the fast
- * path the only switch between them. The
- * workload cases are fiber-free, so the TSan preset runs them; the
- * handler rows dispatch on fibers and run in the default preset only.
+ * `<Group>HandlerDiff.<Tool>`; the fast-path group adds the
+ * error-injection census, a register-writing handler and two handler
+ * faults. `HandlerInlineDiff.<case>`, `ErrorToolDiff.<case>` (the
+ * census and one armed error per destination class) and
+ * `StackPtrSiteDiff.<Tool>` (register info on an instruction naming
+ * R1, which must stay generic) compare fused_simd with simd, the fast
+ * path the only switch between them. The workload cases, the
+ * `ErrorToolDiff` cases and `StackPtrSiteDiff.ErrorInjector` are
+ * fiber-free, so the TSan preset runs them; the other handler rows
+ * dispatch on fibers and run in the default preset only.
  */
 
 #include <gtest/gtest.h>
@@ -275,14 +279,17 @@ stressKernel()
     return kb.finish();
 }
 
-/** The stress kernel on a fresh device, instrumented with opts. */
+/** A kernel (the stress kernel by default) on a fresh device,
+ *  instrumented with opts. */
 class StressRun
 {
   public:
-    explicit StressRun(const core::InstrumentOptions &opts)
+    explicit StressRun(const core::InstrumentOptions &opts,
+                       ir::Kernel kernel = stressKernel())
+        : kernel_(kernel.name)
     {
         ir::Module mod;
-        mod.kernels.push_back(stressKernel());
+        mod.kernels.push_back(std::move(kernel));
         dev.loadModule(std::move(mod));
         rt.instrument(opts);
         std::vector<uint32_t> init(kCtas * kBlock);
@@ -295,13 +302,13 @@ class StressRun
     /** Launch in mode m; observe everything but the tool. */
     RunObservation
     launch(const DispatchMode &m, int threads,
-           LaunchResult *result = nullptr)
+           LaunchResult *result = nullptr, LaunchOptions base = {})
     {
         KernelArgs args;
         args.addU64(buf_);
         const LaunchResult r =
-            dev.launch("stress", Dim3(kCtas), Dim3(kBlock), args,
-                       planeOptions({}, m, threads));
+            dev.launch(kernel_, Dim3(kCtas), Dim3(kBlock), args,
+                       planeOptions(base, m, threads));
         RunObservation obs;
         obs.outcome = r.outcome;
         obs.message = r.message;
@@ -325,6 +332,7 @@ class StressRun
     core::SassiRuntime rt{dev};
 
   private:
+    std::string kernel_;
     uint64_t buf_ = 0;
 };
 
@@ -381,18 +389,30 @@ memTracer(Device &dev, core::SassiRuntime &rt, int threads)
         });
 }
 
-/** The error-injection census: not reentrant-safe, so every plane
- *  routes it through the fiber path. */
+/** Every per-thread count of a census, register writes then stores. */
+std::string
+censusKey(const handlers::ErrorInjectionProfiler &t)
+{
+    std::ostringstream out;
+    for (const auto *profiles : {&t.profiles(), &t.storeProfiles()}) {
+        for (const auto &p : *profiles) {
+            out << p.kernel << '#' << p.invocation << ':';
+            for (uint32_t c : p.perThread)
+                out << ' ' << c;
+            out << '\n';
+        }
+        out << "--\n";
+    }
+    return out.str();
+}
+
+/** The error-injection census: a reentrant-safe lane loop, so it
+ *  runs inline on fused sites and generically otherwise. */
 ToolBox
 census(Device &dev, core::SassiRuntime &rt, int)
 {
-    return ToolBox::make<handlers::ErrorInjectionProfiler>(
-        dev, rt, [](const handlers::ErrorInjectionProfiler &t) {
-            uint64_t total = 0;
-            for (const auto &p : t.profiles())
-                total += p.total;
-            return std::to_string(total);
-        });
+    return ToolBox::make<handlers::ErrorInjectionProfiler>(dev, rt,
+                                                           censusKey);
 }
 
 /**
@@ -436,8 +456,8 @@ registerWriter(Device &, core::SassiRuntime &rt, int)
     return {};
 }
 
-/** The fast-path group's extra rows: fusing must hand a fiber-only
- *  handler (the census) back to the fiber path, and carry a fused
+/** The fast-path group's extra rows: fusing must run the census's
+ *  lane loop inline with the same counts, and carry a fused
  *  handler's register writes into the register file. */
 const ToolRow kFastpathRows[] = {
     {"ErrorInjectionProfiler",
@@ -487,6 +507,19 @@ const InlineCase kInlineCases[] = {
     {"InstrCounterArenaStability", "InstrCounter", kSerial},
 };
 
+/** Compare simd with fused_simd at each thread count (default: 1
+ *  and 8 workers). */
+void
+fastPathAgrees(const RunFn &run,
+               std::span<const int> threadCounts = kSerialAndWide)
+{
+    for (int threads : threadCounts) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        expectSameAs(run(fuzz::mode("simd"), threads),
+                     run(fuzz::mode("fused_simd"), threads));
+    }
+}
+
 void
 inlineMatchesFiber(const InlineCase &c)
 {
@@ -494,11 +527,203 @@ inlineMatchesFiber(const InlineCase &c)
         *std::ranges::find_if(kTools, [&c](const ToolRow &t) {
             return std::string_view(t.name) == c.tool;
         });
-    for (int threads : c.threads) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectSameAs(runTool(tool, fuzz::mode("simd"), threads),
-                     runTool(tool, fuzz::mode("fused_simd"), threads));
+    fastPathAgrees(
+        [&tool](const DispatchMode &m, int threads) {
+            return runTool(tool, m, threads);
+        },
+        c.threads);
+}
+
+/// @}
+/// @name Error-tool rows
+/// @{
+
+/**
+ * Both error tools are reentrant-safe lane loops with no warp body,
+ * so simd runs them generically and fused_simd inline: the fast path
+ * is the only switch. No case dispatches on fibers, so the TSan
+ * preset runs them.
+ */
+RunObservation
+runCensus(bool stores, const DispatchMode &m, int threads)
+{
+    StressRun run(handlers::ErrorInjectionProfiler::options(stores));
+    const handlers::ErrorInjectionProfiler census(run.dev, run.rt,
+                                                  1 << 16, stores);
+    RunObservation obs = run.launch(m, threads);
+    EXPECT_TRUE(obs.outcome == Outcome::Ok) << obs.message;
+    obs.toolKey = censusKey(census);
+    return obs;
+}
+
+/** The thread every injection targets: CTA 4, warp 1, lane 12; its
+ *  loop runs once, as (tid & 3) + 1 = 1. */
+constexpr uint64_t kInjectThread = 300;
+
+/** Ends a corrupted loop fast; the clean kernel runs well under it. */
+constexpr uint64_t kInjectWatchdog = 400'000;
+
+/** One armed error of the stress kernel's thread kInjectThread. */
+struct InjectionCase
+{
+    const char *name;
+    handlers::InjectionMode mode;
+    uint64_t instrIndex; //!< Its k-th eligible instruction.
+    uint64_t dstSeed;
+    uint64_t bitSeed;
+    const char *flips; //!< What the description must name.
+    Outcome outcome;
+};
+
+/**
+ * The thread's eligible register writes are S2R x3, IMAD, LDC,
+ * SHL (0-5), the IADD.CC (6: R16 and CC), IADD.X, LDG, LOP, the
+ * trip-count IADD (10), four MOV32Is (11-14, R14 at 12), and the
+ * loop's ISETP (15: P0 alone). Its only store is the STG of R12 to
+ * [R16:R17].
+ */
+const InjectionCase kInjections[] = {
+    {"InjectGpr", handlers::InjectionMode::DestReg, 12, 0, 3,
+     "R14 bit 3", Outcome::Ok},
+    {"InjectPredicate", handlers::InjectionMode::DestReg, 15, 0, 0,
+     "P0", Outcome::Ok},
+    // The IADD.X takes the flipped carry into the address high word.
+    {"InjectCC", handlers::InjectionMode::DestReg, 6, 1, 0, "CC",
+     Outcome::MemFault},
+    // Bit 30 of the trip count: the loop runs ~2^30 times.
+    {"InjectHang", handlers::InjectionMode::DestReg, 10, 0, 30,
+     "R8 bit 30", Outcome::Hang},
+    {"InjectStoreValue", handlers::InjectionMode::StoreValue, 0, 0, 5,
+     "R12 bit 5", Outcome::Ok},
+    // R16 lies above the handler's register cap, so the flip goes
+    // straight to the register file on both paths.
+    {"InjectStoreAddress", handlers::InjectionMode::StoreAddress, 0, 0,
+     2, "R16 bit 2", Outcome::Ok},
+};
+
+/** One error-injection run; a hang is compared on its outcome only,
+ *  since where the watchdog stops the other warps is a detail. */
+RunObservation
+runInjection(const ir::Kernel &kernel, const handlers::InjectionSite &site,
+             const char *flips, const DispatchMode &m, int threads,
+             LaunchResult *result = nullptr)
+{
+    const bool stores = site.mode != handlers::InjectionMode::DestReg;
+    StressRun run(handlers::ErrorInjector::options(stores), kernel);
+    const handlers::ErrorInjector injector(run.dev, run.rt, site);
+    LaunchOptions base;
+    base.watchdog = kInjectWatchdog;
+    RunObservation obs = run.launch(m, threads, result, base);
+    EXPECT_TRUE(injector.injected());
+    const std::string what =
+        std::string(handlers::injectionModeName(site.mode)) + ' ' +
+        flips + " @";
+    EXPECT_EQ(injector.description().rfind(what, 0), 0u)
+        << injector.description();
+    obs.toolKey = injector.description();
+    if (obs.outcome == Outcome::Hang) {
+        obs.message.clear();
+        obs.statsKey.clear();
     }
+    return obs;
+}
+
+RunObservation
+runInjectionCase(const InjectionCase &c, const DispatchMode &m,
+                 int threads)
+{
+    handlers::InjectionSite site;
+    site.kernelName = "stress";
+    site.thread = kInjectThread;
+    site.instrIndex = c.instrIndex;
+    site.dstSeed = c.dstSeed;
+    site.bitSeed = c.bitSeed;
+    site.mode = c.mode;
+    RunObservation obs =
+        runInjection(stressKernel(), site, c.flips, m, threads);
+    EXPECT_TRUE(obs.outcome == c.outcome) << outcomeName(obs.outcome);
+    return obs;
+}
+
+/// @}
+/// @name Stack-pointer sites
+/// @{
+
+/**
+ * A kernel whose register writes name R1: it moves the stack pointer
+ * down 16 bytes, round-trips gid through [R1] and moves it back, then
+ * stores gid to buf[gid]. The pass never spills R1, so a handler's
+ * GetRegValue(R1) reads the live register, which the fused path has
+ * not yet lowered by the frame; the three sites naming R1 (both
+ * IADDs and the LDL) must therefore stay generic.
+ */
+ir::Kernel
+stackPtrKernel()
+{
+    KernelBuilder kb("stackptr");
+    kb.s2r(4, SpecialReg::TidX);
+    kb.s2r(5, SpecialReg::CtaIdX);
+    kb.s2r(6, SpecialReg::NTidX);
+    kb.imad(7, 5, 6, 4);
+    kb.iaddi(sass::abi::StackPtr, sass::abi::StackPtr, -16);
+    kb.stl(sass::abi::StackPtr, 0, 7);
+    kb.ldl(8, sass::abi::StackPtr, 0);
+    kb.iaddi(sass::abi::StackPtr, sass::abi::StackPtr, 16);
+    kb.ldc(16, 0, 8);
+    kb.shl(10, 7, 2);
+    kb.iaddcc(16, 16, 10);
+    kb.iaddx(17, 17, RZ);
+    kb.stg(16, 0, 8);
+    kb.exit();
+    return kb.finish();
+}
+
+constexpr uint64_t kStackPtrSitesPerWarp = 3;
+
+/** ValueProfiler records R1 at the IADDs: the planes must agree, and
+ *  every R1 site of every warp falls back from the fused path. */
+void
+stackPtrValueProfiler()
+{
+    fastPathAgrees([](const DispatchMode &m, int threads) {
+        StressRun run(fuzz::toolOptions(fuzz::ToolKind::ValueProfiler),
+                      stackPtrKernel());
+        const ToolBox box(fuzz::ToolKind::ValueProfiler, run.dev, run.rt);
+        LaunchResult r;
+        RunObservation obs = run.launch(m, threads, &r);
+        EXPECT_TRUE(obs.outcome == Outcome::Ok) << obs.message;
+        EXPECT_EQ(r.dispatch.inlineFallbacks,
+                  m.fp ? kStackPtrSitesPerWarp * kCtas * kBlock / 32
+                       : 0u);
+        obs.toolKey = box.key();
+        return obs;
+    });
+}
+
+/**
+ * Bit 8 of R1 after the first IADD. Instrumentation grows the 4 KB
+ * local window by a frame and 0x40, to 0x1120, so R1 is 0x1110 after
+ * the IADD. Generically the handler sees 0x1110 minus the frame,
+ * 0x1030: setting bit 8 moves the frame to 0x1130, past the window,
+ * and the epilogue's first fill faults. In a fused site it would see
+ * 0x1110, clear the bit, and the kernel would run on in bounds.
+ */
+void
+stackPtrInjector()
+{
+    handlers::InjectionSite site;
+    site.kernelName = "stackptr";
+    site.thread = kInjectThread;
+    site.instrIndex = 4;
+    site.bitSeed = 8;
+    fastPathAgrees([&site](const DispatchMode &m, int threads) {
+        LaunchResult r;
+        RunObservation obs = runInjection(stackPtrKernel(), site,
+                                          "R1 bit 8", m, threads, &r);
+        EXPECT_TRUE(obs.outcome == Outcome::MemFault) << obs.message;
+        EXPECT_EQ(r.dispatch.inlineFallbacks > 0, m.fp != 0);
+        return obs;
+    });
 }
 
 /// @}
@@ -670,6 +895,24 @@ identifier(const std::string &name)
     for (const InlineCase &c : kInlineCases)
         add("HandlerInlineDiff", c.name, nullptr,
             [&c] { inlineMatchesFiber(c); });
+    for (bool stores : {false, true}) {
+        add("ErrorToolDiff", stores ? "CensusWithStores" : "Census",
+            nullptr, [stores] {
+                fastPathAgrees([stores](const DispatchMode &m, int t) {
+                    return runCensus(stores, m, t);
+                });
+            });
+    }
+    for (const InjectionCase &c : kInjections) {
+        add("ErrorToolDiff", c.name, nullptr, [&c] {
+            fastPathAgrees([&c](const DispatchMode &m, int threads) {
+                return runInjectionCase(c, m, threads);
+            });
+        });
+    }
+    add("StackPtrSiteDiff", "ValueProfiler", nullptr,
+        stackPtrValueProfiler);
+    add("StackPtrSiteDiff", "ErrorInjector", nullptr, stackPtrInjector);
     return true;
 }();
 
