@@ -9,12 +9,15 @@
 #ifndef SASSI_BENCH_BENCH_COMMON_H
 #define SASSI_BENCH_BENCH_COMMON_H
 
+#include <cctype>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/sassi.h"
+#include "handlers/injection_campaign.h"
 #include "util/logging.h"
 #include "util/table.h"
 #include "workloads/suite.h"
@@ -63,16 +66,40 @@ runAll(workloads::Workload &w, simt::Device &dev)
     return out;
 }
 
-/** Read an integer knob from the environment. */
+/** Read an integer knob from the environment; fatal unless the
+ *  value is a decimal number. */
 inline uint64_t
 envU64(const char *name, uint64_t fallback)
 {
     const char *v = std::getenv(name);
     if (!v)
         return fallback;
-    return std::strtoull(v, nullptr, 10);
+    char *end = nullptr;
+    uint64_t n = std::strtoull(v, &end, 10);
+    fatal_if(!std::isdigit(static_cast<unsigned char>(*v)) || *end,
+             "%s=%s is not a number", name, v);
+    return n;
 }
 
+/** @return `row` followed by Figure 10's outcome column headers. */
+inline std::vector<std::string>
+withOutcomeHeaders(std::vector<std::string> row)
+{
+    row.insert(row.end(), {"Masked %", "Crashes %", "Hangs %",
+                           "Failure symptoms %", "SDC %"});
+    return row;
+}
+
+/** @return `row` followed by one percentage per outcome column. */
+inline std::vector<std::string>
+withOutcomeCells(std::vector<std::string> row,
+                 const handlers::InjectionHistogram &h)
+{
+    for (uint64_t c : h.counts)
+        row.push_back(fmtPercent(static_cast<double>(c),
+                                 static_cast<double>(h.total)));
+    return row;
+}
 
 /** Print a results table; SASSI_CSV=1 switches to CSV output. */
 inline void

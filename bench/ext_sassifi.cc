@@ -11,72 +11,10 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "handlers/error_injector.h"
 
 using namespace sassi;
 using namespace sassi::bench;
 using namespace sassi::handlers;
-
-namespace {
-
-struct Counts
-{
-    uint64_t masked = 0, crash = 0, hang = 0, sdc = 0, total = 0;
-};
-
-Counts
-campaign(const workloads::SuiteEntry &entry, InjectionMode mode,
-         uint64_t n)
-{
-    std::vector<ErrorInjectionProfiler::LaunchProfile> census;
-    uint64_t golden = 0;
-    {
-        auto w = entry.make();
-        simt::Device dev;
-        w->setup(dev);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjectionProfiler::options(true));
-        ErrorInjectionProfiler profiler(dev, rt, 1 << 16, true);
-        RunOutcome out = runAll(*w, dev);
-        fatal_if(!out.last.ok() || !out.verified, "%s census failed",
-                 entry.name.c_str());
-        census = mode == InjectionMode::DestReg
-                     ? profiler.profiles()
-                     : profiler.storeProfiles();
-        golden = w->outputHash(dev);
-    }
-
-    Rng rng(0x5a551f1 + static_cast<uint64_t>(mode));
-    auto sites = selectInjectionSites(census, n, rng);
-
-    Counts counts;
-    for (auto site : sites) {
-        site.mode = mode;
-        auto w = entry.make();
-        simt::Device dev;
-        w->setup(dev);
-        dev.mapSlack(24u << 20);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjector::options(true));
-        ErrorInjector injector(dev, rt, site);
-        w->launchOptions.watchdog = 4'000'000;
-        RunOutcome out = runAll(*w, dev);
-        if (!out.last.ok()) {
-            if (out.last.outcome == simt::Outcome::Hang)
-                ++counts.hang;
-            else
-                ++counts.crash;
-        } else if (w->outputHash(dev) == golden) {
-            ++counts.masked;
-        } else {
-            ++counts.sdc;
-        }
-        ++counts.total;
-    }
-    return counts;
-}
-
-} // namespace
 
 int
 main()
@@ -86,8 +24,7 @@ main()
     std::cout << "=== Extension: SASSIFI-style error models ("
               << injections << " injections per cell) ===\n\n";
 
-    Table table({"Benchmark", "Model", "Masked %", "Crashes %",
-                 "Hangs %", "SDC %"});
+    Table table(withOutcomeHeaders({"Benchmark", "Model"}));
     for (const auto &entry : std::vector<workloads::SuiteEntry>{
              workloads::fig10Suite()[2],  // spmv
              workloads::fig10Suite()[7],  // pathfinder
@@ -96,19 +33,11 @@ main()
         for (InjectionMode mode : {InjectionMode::DestReg,
                                    InjectionMode::StoreValue,
                                    InjectionMode::StoreAddress}) {
-            Counts c = campaign(entry, mode, injections);
-            auto pct = [&](uint64_t v) {
-                return fmtPercent(static_cast<double>(v),
-                                  static_cast<double>(c.total));
-            };
-            table.addRow({
-                entry.name,
-                injectionModeName(mode),
-                pct(c.masked),
-                pct(c.crash),
-                pct(c.hang),
-                pct(c.sdc),
-            });
+            Rng rng(0x5a551f1 + static_cast<uint64_t>(mode));
+            table.addRow(withOutcomeCells(
+                {entry.name, injectionModeName(mode)},
+                runInjectionCampaign(entry.make, mode, injections, rng)
+                    .histogram));
         }
     }
     printResults(table, std::cout);

@@ -1,14 +1,15 @@
 /**
  * @file
  * Regenerates Figure 10 (paper §8.2): the outcome distribution of
- * architecture-level error injections. For each application:
+ * architecture-level error injections. For each application,
+ * handlers::runInjectionCampaign runs the paper's three steps:
  *
  *   1. a profiling run (instrumented after every register-writing
  *      instruction) censuses the eligible dynamic instructions per
  *      thread per kernel invocation;
  *   2. injection sites are selected stochastically on the host;
  *   3. one run per site flips a single bit in a destination
- *      register / predicate / condition code and the harness
+ *      register / predicate / condition code, and the campaign
  *      categorizes the outcome (masked, crash, hang, failure
  *      symptom, SDC).
  *
@@ -20,38 +21,10 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "handlers/error_injector.h"
 
 using namespace sassi;
 using namespace sassi::bench;
 using namespace sassi::handlers;
-
-namespace {
-
-struct OutcomeCounts
-{
-    uint64_t masked = 0, crash = 0, hang = 0, symptom = 0, sdc = 0;
-    uint64_t total = 0;
-};
-
-InjectionOutcome
-categorize(const RunOutcome &out, bool hash_equal)
-{
-    if (!out.last.ok()) {
-        switch (out.last.outcome) {
-          case simt::Outcome::Hang:
-            return InjectionOutcome::Hang;
-          case simt::Outcome::Trap:
-            return InjectionOutcome::FailureSymptom;
-          default:
-            return InjectionOutcome::Crash;
-        }
-    }
-    return hash_equal ? InjectionOutcome::Masked
-                      : InjectionOutcome::SDC;
-}
-
-} // namespace
 
 int
 main()
@@ -62,87 +35,32 @@ main()
               << injections << " injections per app; "
               << "SASSI_INJECTIONS overrides) ===\n\n";
 
-    Table table({"Benchmark", "Masked %", "Crashes %", "Hangs %",
-                 "Failure symptoms %", "SDC %", "Injected"});
+    std::vector<std::string> headers = withOutcomeHeaders({"Benchmark"});
+    headers.push_back("Injected");
+    Table table(headers);
 
     double sum_masked = 0, sum_crash_hang = 0, sum_sdc = 0;
     int apps = 0;
 
     for (const auto &entry : workloads::fig10Suite()) {
-        // Step 1: profile the eligible-injection space.
-        std::vector<ErrorInjectionProfiler::LaunchProfile> profiles;
-        uint64_t golden_hash = 0;
-        {
-            auto w = entry.make();
-            simt::Device dev;
-            w->setup(dev);
-            core::SassiRuntime rt(dev);
-            rt.instrument(ErrorInjectionProfiler::options());
-            ErrorInjectionProfiler profiler(dev, rt);
-            RunOutcome out = runAll(*w, dev);
-            fatal_if(!out.last.ok() || !out.verified,
-                     "%s profiling run failed", entry.name.c_str());
-            profiles = profiler.profiles();
-            golden_hash = w->outputHash(dev);
-        }
-
-        // Step 2: select sites on the host.
         Rng rng(0xfa117 + static_cast<uint64_t>(apps));
-        auto sites =
-            selectInjectionSites(profiles, injections, rng);
-        fatal_if(sites.empty(), "%s has no injectable state",
-                 entry.name.c_str());
+        const InjectionHistogram h =
+            runInjectionCampaign(entry.make, InjectionMode::DestReg,
+                                 injections, rng)
+                .histogram;
 
-        // Step 3: one application run per site.
-        OutcomeCounts counts;
-        for (const auto &site : sites) {
-            auto w = entry.make();
-            simt::Device dev;
-            w->setup(dev);
-            // Allocation-granularity slack: corrupted addresses
-            // behave as on real hardware, where most single-bit
-            // flips still land in mapped memory.
-            dev.mapSlack(24u << 20);
-            core::SassiRuntime rt(dev);
-            rt.instrument(ErrorInjector::options());
-            ErrorInjector injector(dev, rt, site);
-            // Tight watchdog so corrupted control flow hangs fast.
-            w->launchOptions.watchdog = 4'000'000;
-            RunOutcome out = runAll(*w, dev);
-            bool hash_equal =
-                out.last.ok() && w->outputHash(dev) == golden_hash;
-            switch (categorize(out, hash_equal)) {
-              case InjectionOutcome::Masked: ++counts.masked; break;
-              case InjectionOutcome::Crash: ++counts.crash; break;
-              case InjectionOutcome::Hang: ++counts.hang; break;
-              case InjectionOutcome::FailureSymptom:
-                ++counts.symptom;
-                break;
-              case InjectionOutcome::SDC: ++counts.sdc; break;
-            }
-            ++counts.total;
-        }
+        std::vector<std::string> row = withOutcomeCells({entry.name}, h);
+        row.push_back(std::to_string(h.total));
+        table.addRow(std::move(row));
 
         auto pct = [&](uint64_t v) {
-            return fmtPercent(static_cast<double>(v),
-                              static_cast<double>(counts.total));
+            return 100.0 * static_cast<double>(v) /
+                   static_cast<double>(h.total);
         };
-        table.addRow({
-            entry.name,
-            pct(counts.masked),
-            pct(counts.crash),
-            pct(counts.hang),
-            pct(counts.symptom),
-            pct(counts.sdc),
-            std::to_string(counts.total),
-        });
-        sum_masked += 100.0 * static_cast<double>(counts.masked) /
-                      static_cast<double>(counts.total);
-        sum_crash_hang +=
-            100.0 * static_cast<double>(counts.crash + counts.hang) /
-            static_cast<double>(counts.total);
-        sum_sdc += 100.0 * static_cast<double>(counts.sdc) /
-                   static_cast<double>(counts.total);
+        sum_masked += pct(h[InjectionOutcome::Masked]);
+        sum_crash_hang += pct(h[InjectionOutcome::Crash] +
+                              h[InjectionOutcome::Hang]);
+        sum_sdc += pct(h[InjectionOutcome::SDC]);
         ++apps;
     }
 

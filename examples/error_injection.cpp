@@ -1,15 +1,15 @@
 /**
  * @file
  * Case study IV as an application: a small end-to-end error
- * injection campaign (paper §8). Profiles the injection space,
- * selects sites stochastically, flips one architectural bit per
- * run, and reports each run's outcome.
+ * injection campaign (paper §8). handlers::runInjectionCampaign
+ * profiles the injection space, selects sites stochastically, and
+ * flips one architectural bit per run; this reports each run's
+ * outcome.
  */
 
 #include <cstdio>
 
-#include "core/sassi.h"
-#include "handlers/error_injector.h"
+#include "handlers/injection_campaign.h"
 #include "workloads/suite.h"
 
 using namespace sassi;
@@ -20,67 +20,27 @@ main()
 {
     const size_t num_injections = 25;
 
-    // Step 1: profiling run.
-    std::vector<ErrorInjectionProfiler::LaunchProfile> profiles;
-    uint64_t golden = 0;
-    {
-        auto w = workloads::makePathfinder(512, 32);
-        simt::Device dev;
-        w->setup(dev);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjectionProfiler::options());
-        ErrorInjectionProfiler profiler(dev, rt);
-        if (!w->run(dev).ok())
-            return 1;
-        profiles = profiler.profiles();
-        golden = w->outputHash(dev);
-    }
+    Rng rng(2026);
+    const InjectionCampaignResult res = runInjectionCampaign(
+        [] { return workloads::makePathfinder(512, 32); },
+        InjectionMode::DestReg, num_injections, rng);
+
     uint64_t space = 0;
-    for (const auto &p : profiles)
+    for (const auto &p : res.census)
         space += p.total;
     std::printf("injection space: %llu eligible dynamic instructions "
                 "across %zu kernel launches\n\n",
-                (unsigned long long)space, profiles.size());
+                (unsigned long long)space, res.census.size());
 
-    // Step 2: stochastic site selection.
-    Rng rng(2026);
-    auto sites = selectInjectionSites(profiles, num_injections, rng);
+    for (const InjectionRecord &rec : res.records)
+        std::printf("  flip %-44s -> %s\n", rec.description.c_str(),
+                    injectionOutcomeName(rec.outcome));
 
-    // Step 3: one run per site.
-    int masked = 0, sdc = 0, crashed = 0, hung = 0;
-    for (const auto &site : sites) {
-        auto w = workloads::makePathfinder(512, 32);
-        simt::Device dev;
-        w->setup(dev);
-        dev.mapSlack(24u << 20);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjector::options());
-        ErrorInjector injector(dev, rt, site);
-        w->launchOptions.watchdog = 4'000'000;
-        simt::LaunchResult r = w->run(dev);
-
-        const char *what;
-        if (!r.ok()) {
-            if (r.outcome == simt::Outcome::Hang) {
-                ++hung;
-                what = "HANG";
-            } else {
-                ++crashed;
-                what = "CRASH";
-            }
-        } else if (w->outputHash(dev) == golden) {
-            ++masked;
-            what = "masked";
-        } else {
-            ++sdc;
-            what = "SDC";
-        }
-        std::printf("  flip %-44s -> %s\n",
-                    injector.description().c_str(), what);
-    }
-
-    std::printf("\n%d masked, %d SDC, %d crashes, %d hangs out of "
-                "%zu injections\n", masked, sdc, crashed, hung,
-                sites.size());
+    std::printf("\n");
+    for (size_t o = 0; o < res.histogram.counts.size(); ++o)
+        std::printf("%llu %s, ",
+                    (unsigned long long)res.histogram.counts[o],
+                    injectionOutcomeName(InjectionOutcome(o)));
+    std::printf("out of %zu injections\n", res.records.size());
     return 0;
 }

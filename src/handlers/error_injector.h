@@ -15,6 +15,9 @@
  *     unhindered while the harness watches for crashes, hangs, and
  *     output corruption.
  *
+ * handlers::runInjectionCampaign (injection_campaign.h) runs all
+ * three for one application and classifies each run's outcome.
+ *
  * Error model (paper §8): a single-bit flip in one destination
  * register of an executing instruction; general registers flip a
  * random bit, predicates flip a written predicate bit, and the
@@ -57,6 +60,8 @@ struct InjectionSite
     uint64_t dstSeed = 0;    //!< Selects the destination register.
     uint64_t bitSeed = 0;    //!< Selects the bit to flip.
     InjectionMode mode = InjectionMode::DestReg;
+
+    bool operator==(const InjectionSite &) const = default;
 };
 
 /** How an injected error manifested (Figure 10's categories). */

@@ -15,6 +15,7 @@
 #include "handlers/branch_profiler.h"
 #include "handlers/dev_hash.h"
 #include "handlers/error_injector.h"
+#include "handlers/injection_campaign.h"
 #include "handlers/instr_counter.h"
 #include "handlers/mem_tracer.h"
 #include "handlers/memdiv_profiler.h"
@@ -247,17 +248,11 @@ TEST(ErrorInjector, ProfilesAndInjectsAtSelectedSite)
 {
     // Use a deterministic workload; profile, select sites, and
     // check one injection actually flips observable output.
-    auto w = workloads::makeVecAdd(256);
-    std::vector<ErrorInjectionProfiler::LaunchProfile> profiles;
-    {
-        Device dev;
-        w->setup(dev);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjectionProfiler::options());
-        ErrorInjectionProfiler profiler(dev, rt);
-        ASSERT_TRUE(w->run(dev).ok());
-        profiles = profiler.profiles();
-    }
+    Rng rng(42);
+    const InjectionCampaignResult res = runInjectionCampaign(
+        [] { return workloads::makeVecAdd(256); },
+        InjectionMode::DestReg, 20, rng);
+    const auto &profiles = res.census;
     ASSERT_EQ(profiles.size(), 1u);
     EXPECT_EQ(profiles[0].kernel, "vecadd");
     EXPECT_EQ(profiles[0].perThread.size(), 256u);
@@ -265,28 +260,15 @@ TEST(ErrorInjector, ProfilesAndInjectsAtSelectedSite)
     for (uint32_t c : profiles[0].perThread)
         EXPECT_EQ(c, profiles[0].perThread[0]);
     EXPECT_GT(profiles[0].total, 0u);
+    ASSERT_EQ(res.records.size(), 20u);
 
-    Rng rng(42);
-    auto sites = selectInjectionSites(profiles, 20, rng);
-    ASSERT_EQ(sites.size(), 20u);
-
-    int injected = 0;
-    for (const auto &site : sites) {
-        auto w2 = workloads::makeVecAdd(256);
-        Device dev;
-        w2->setup(dev);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjector::options());
-        ErrorInjector injector(dev, rt, site);
-        // The corrupted run may legitimately fault afterwards; the
-        // flip itself must still have happened.
-        (void)w2->run(dev);
-        if (injector.injected())
-            ++injected;
-        EXPECT_FALSE(injector.description().empty());
+    // The corrupted run may legitimately fault afterwards; the flip
+    // itself must still have happened: every selected site is
+    // reached (same deterministic run).
+    for (const InjectionRecord &rec : res.records) {
+        EXPECT_TRUE(rec.injected);
+        EXPECT_FALSE(rec.description.empty());
     }
-    // Every selected site must be reached (same deterministic run).
-    EXPECT_EQ(injected, 20);
 }
 
 TEST(ErrorInjector, CensusAndInjectionDispatchInline)

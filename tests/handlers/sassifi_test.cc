@@ -9,6 +9,7 @@
 
 #include "core/sassi.h"
 #include "handlers/error_injector.h"
+#include "handlers/injection_campaign.h"
 #include "sassir/builder.h"
 #include "workloads/suite.h"
 
@@ -128,37 +129,15 @@ TEST(Sassifi, CampaignOverStoreModesProducesOutcomes)
     // workload; outcomes must be deterministic and non-empty.
     for (InjectionMode mode : {InjectionMode::StoreValue,
                                InjectionMode::StoreAddress}) {
-        std::vector<ErrorInjectionProfiler::LaunchProfile> census;
-        {
-            auto w = workloads::makePathfinder(256, 16);
-            Device dev;
-            w->setup(dev);
-            core::SassiRuntime rt(dev);
-            rt.instrument(ErrorInjectionProfiler::options(true));
-            ErrorInjectionProfiler profiler(dev, rt, 1 << 16, true);
-            ASSERT_TRUE(w->run(dev).ok());
-            census = profiler.storeProfiles();
-        }
         Rng rng(7 + static_cast<uint64_t>(mode));
-        auto sites = selectInjectionSites(census, 6, rng);
-        ASSERT_FALSE(sites.empty());
-        int injected = 0;
-        for (auto site : sites) {
-            site.mode = mode;
-            auto w = workloads::makePathfinder(256, 16);
-            Device dev;
-            w->setup(dev);
-            dev.mapSlack(4u << 20);
-            core::SassiRuntime rt(dev);
-            rt.instrument(ErrorInjector::options(true));
-            ErrorInjector injector(dev, rt, site);
-            w->launchOptions.watchdog = 2'000'000;
-            (void)w->run(dev);
-            if (injector.injected())
-                ++injected;
+        const InjectionCampaignResult res = runInjectionCampaign(
+            [] { return workloads::makePathfinder(256, 16); }, mode, 6,
+            rng);
+        ASSERT_FALSE(res.records.empty());
+        for (const InjectionRecord &rec : res.records) {
+            EXPECT_EQ(rec.site.mode, mode);
+            EXPECT_TRUE(rec.injected) << injectionModeName(mode);
         }
-        EXPECT_EQ(injected, static_cast<int>(sites.size()))
-            << injectionModeName(mode);
     }
 }
 

@@ -12,7 +12,7 @@
 
 #include "core/sassi.h"
 #include "handlers/branch_profiler.h"
-#include "handlers/error_injector.h"
+#include "handlers/injection_campaign.h"
 #include "handlers/mem_tracer.h"
 #include "handlers/memdiv_profiler.h"
 #include "mem/coalescer.h"
@@ -131,39 +131,19 @@ TEST(Integration, ErrorInjectionIsReproducible)
 {
     // The same site tuple must produce the same outcome and the
     // same output hash on every run.
-    auto profile = [] {
-        auto w = workloads::makeHeartwall(256, 32);
-        Device dev;
-        w->setup(dev);
-        core::SassiRuntime rt(dev);
-        rt.instrument(ErrorInjectionProfiler::options());
-        ErrorInjectionProfiler profiler(dev, rt);
-        EXPECT_TRUE(w->run(dev).ok());
-        return profiler.profiles();
+    auto campaign = [] {
+        Rng rng(99);
+        return runInjectionCampaign(
+            [] { return workloads::makeHeartwall(256, 32); },
+            InjectionMode::DestReg, 5, rng);
     };
-    auto profiles = profile();
-    Rng rng(99);
-    auto sites = selectInjectionSites(profiles, 5, rng);
-    ASSERT_EQ(sites.size(), 5u);
-
-    for (const auto &site : sites) {
-        uint64_t hashes[2];
-        Outcome outcomes[2];
-        for (int trial = 0; trial < 2; ++trial) {
-            auto w = workloads::makeHeartwall(256, 32);
-            Device dev;
-            w->setup(dev);
-            core::SassiRuntime rt(dev);
-            rt.instrument(ErrorInjector::options());
-            ErrorInjector injector(dev, rt, site);
-            LaunchResult r = w->run(dev);
-            outcomes[trial] = r.outcome;
-            hashes[trial] = r.ok() ? w->outputHash(dev) : 0;
-            EXPECT_TRUE(injector.injected());
-        }
-        EXPECT_EQ(outcomes[0], outcomes[1]);
-        EXPECT_EQ(hashes[0], hashes[1]);
-    }
+    const InjectionCampaignResult a = campaign(), b = campaign();
+    ASSERT_EQ(a.records.size(), 5u);
+    for (const InjectionCampaignResult &run : {a, b})
+        for (const InjectionRecord &rec : run.records)
+            EXPECT_TRUE(rec.injected);
+    // Outcomes and output hashes included.
+    EXPECT_TRUE(a.records == b.records);
 }
 
 TEST(Integration, PaperShapeFactsPin)
