@@ -4,8 +4,10 @@
  * machinery as §8): compare the outcome distributions of the three
  * error models — destination-register flips, store-value flips, and
  * store-address flips — over a few applications. Store-address
- * corruption should crash far more often; store-value corruption
- * should convert mostly into SDCs.
+ * corruption crashes far more often than the other two models;
+ * store-value corruption does not crash in these rows, and whether
+ * it is masked more or less often than a dest-reg flip depends on
+ * the application.
  */
 
 #include <iostream>
@@ -41,10 +43,10 @@ main()
         }
     }
     printResults(table, std::cout);
-    std::cout << "\nExpected shape: store-address flips crash most "
-                 "(wild pointers), store-value flips mostly become "
-                 "SDCs (the datum is architecturally consumed), and "
-                 "dest-reg flips sit in between with the most "
-                 "masking.\n";
+    std::cout << "\nShape of these rows: store-address flips crash "
+                 "most (wild pointers), store-value flips never crash "
+                 "(the flip changes only the datum), and whether "
+                 "store-value or dest-reg flips are masked more "
+                 "varies by app.\n";
     return 0;
 }

@@ -58,24 +58,6 @@ metricsCache(simt::Executor &exec, size_t num_sites)
     return *static_cast<SiteMetricsCache *>(slot.get());
 }
 
-/** Per-dispatch counter bumps. */
-void
-noteDispatch(simt::Executor &exec, SiteMetricsCache &cache,
-             const SiteInfo &site, int32_t site_key,
-             uint32_t active_mask)
-{
-    ++*cache.calls;
-    uint64_t *&fl = cache.flavor[static_cast<size_t>(site.flavor)];
-    if (!fl)
-        fl = &exec.metrics().counter(site.metricFlavor);
-    ++*fl;
-    uint64_t *&sc = cache.site[static_cast<size_t>(site_key)];
-    if (!sc)
-        sc = &exec.metrics().counter(site.metricCalls);
-    ++*sc;
-    cache.lanes->observe(static_cast<uint64_t>(popc(active_mask)));
-}
-
 /**
  * Per-worker environment arena for fused-site dispatch. The
  * expensive parts of a HandlerEnv — four param-view constructors and
@@ -245,24 +227,51 @@ SassiRuntime::inlineDispatchable(int32_t site_key)
 }
 
 bool
-SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
-                       int32_t site_key, const uint64_t *frame_addr,
-                       uint8_t *const *frame_host, bool fused)
+SassiRuntime::handlerRuns(simt::Executor &exec, simt::Warp &warp,
+                          int32_t site_key)
+{
+    const SiteInfo &site = sites_.at(static_cast<size_t>(site_key));
+    const Slot &s = slot(site);
+    return s.handler &&
+           (!s.traits.warpFilter || s.traits.warpFilter(exec, warp, site));
+}
+
+void
+SassiRuntime::noteDispatch(simt::Executor &exec, simt::Warp &warp,
+                           int32_t site_key)
 {
     const SiteInfo &site = sites_.at(static_cast<size_t>(site_key));
     exec.chargeHandlerCost(opts_.handlerCostInstrs);
 
     // Dynamic per-site counts go into the worker's launch-registry
     // shard, so they merge deterministically like everything else.
-    noteDispatch(exec, metricsCache(exec, sites_.size()), site,
-                 site_key, warp.activeMask);
+    SiteMetricsCache &cache = metricsCache(exec, sites_.size());
+    ++*cache.calls;
+    uint64_t *&fl = cache.flavor[static_cast<size_t>(site.flavor)];
+    if (!fl)
+        fl = &exec.metrics().counter(site.metricFlavor);
+    ++*fl;
+    uint64_t *&sc = cache.site[static_cast<size_t>(site_key)];
+    if (!sc)
+        sc = &exec.metrics().counter(site.metricCalls);
+    ++*sc;
+    cache.lanes->observe(static_cast<uint64_t>(popc(warp.activeMask)));
+}
 
+bool
+SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
+                       int32_t site_key, const uint64_t *frame_addr,
+                       uint8_t *const *frame_host, bool fused)
+{
+    noteDispatch(exec, warp, site_key);
+    // A fused site asked handlerRuns once, at entry, and dispatches
+    // only on a yes; a generic JCAL asks here.
+    if (!fused && !handlerRuns(exec, warp, site_key))
+        return false;
+
+    const SiteInfo &site = sites_.at(static_cast<size_t>(site_key));
     const Handler &handler = slot(site).handler;
     const HandlerTraits &traits = slot(site).traits;
-    if (!handler)
-        return false;
-    if (traits.warpFilter && !traits.warpFilter(exec, warp, site))
-        return false;
 
     // Per-thread dispatch state: parallel CTA workers dispatch
     // concurrently, and dispatches never nest (handlers are host

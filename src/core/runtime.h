@@ -10,7 +10,9 @@
  * flows through the simulated stack frames the injected SASS
  * materialized. Every site call, whether the executor reaches it by
  * a generic JCAL or through a fused site, goes through one dispatch
- * body (SassiRuntime::dispatch). A warp-synchronous handler on the
+ * body (SassiRuntime::dispatch), except a fused visit that runs no
+ * handler body, which does only dispatch's bookkeeping
+ * (SassiRuntime::noteDispatch). A warp-synchronous handler on the
  * generic path runs on one fiber per active lane, so warp-wide
  * intrinsics (__ballot, __shfl, __all) synchronize exactly as they
  * would on hardware; a fused site instead calls the handler's
@@ -173,7 +175,14 @@ struct HandlerTraits
      * This models a handler whose leading exit test is warp-uniform
      * (the error injector's kernel/thread match): the real tool
      * still pays the call on the GPU, so the modeled handler cost
-     * is charged either way.
+     * is charged either way. A generic JCAL asks it at the call; a
+     * fused site asks it once per visit, at entry, and on a false
+     * writes only the frame slots its epilogue reads back. So its
+     * answer must not change within a visit (between the site's
+     * prologue and its JCAL round). The error injector's answer
+     * depends only on its armed flag, which is set at launch and
+     * cleared by the target warp's own handler or at launch end,
+     * and on the warp's thread range.
      */
     std::function<bool(simt::Executor &, simt::Warp &,
                        const SiteInfo &)> warpFilter;
@@ -258,10 +267,11 @@ class SassiRuntime : public simt::HandlerDispatcher
     simt::Device &device() { return dev_; }
 
     /**
-     * The one dispatch body: charges the modeled handler cost, bumps
-     * the "core/..." registry, applies the warp filter, runs the
-     * handler with a DispatchState published to the intrinsics, and
-     * rethrows the first lane fault once every lane has stopped.
+     * The one dispatch body: does the noteDispatch() bookkeeping,
+     * asks handlerRuns() (a generic JCAL only: a fused site asked at
+     * entry), runs the handler with a DispatchState published to
+     * the intrinsics, and rethrows the first lane fault once every
+     * lane has stopped.
      * Only two things differ between the paths. A fused site's
      * environments come from a per-(site, warp) arena; a generic
      * JCAL rebinds its active lanes in one per-thread array. A fused
@@ -281,6 +291,21 @@ class SassiRuntime : public simt::HandlerDispatcher
      * (metrics-only dispatch) always qualifies.
      */
     bool inlineDispatchable(int32_t site_key) override;
+
+    /**
+     * A handler body runs for the warp when the site's slot has a
+     * handler and its warp filter, if any, accepts the warp.
+     */
+    bool handlerRuns(simt::Executor &exec, simt::Warp &warp,
+                     int32_t site_key) override;
+
+    /**
+     * The per-call bookkeeping, with or without a handler body:
+     * charges the modeled handler cost and bumps the "core/..."
+     * registry (calls, flavor, per-site count, lanes histogram).
+     */
+    void noteDispatch(simt::Executor &exec, simt::Warp &warp,
+                      int32_t site_key) override;
 
   private:
     /** A registered handler and its traits. */

@@ -204,7 +204,9 @@ ErrorInjector::ErrorInjector(simt::Device &dev, core::SassiRuntime &rt,
     // one.
     traits.reentrantSafe = true;
     // The leading kernel/invocation/thread tests are warp-uniform;
-    // skip warps that cannot contain the target thread.
+    // skip warps that cannot contain the target thread. A fused site
+    // asks once per visit, at entry: armed changes mid-launch only in
+    // the target warp's own handler, so the answer holds per visit.
     traits.warpFilter = [armed, s](simt::Executor &exec,
                                    simt::Warp &warp,
                                    const core::SiteInfo &) {

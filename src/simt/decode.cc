@@ -326,6 +326,8 @@ UopCache::noteUsage(const DispatchUsage &u)
         u.inlineFallbacks) {
         metrics_.counter("uop/handler/inline_calls") +=
             u.inlineHandlerCalls;
+        metrics_.counter("uop/handler/idle_calls") +=
+            u.idleHandlerCalls;
         metrics_.counter("uop/handler/fiber_calls") +=
             u.fiberHandlerCalls;
         metrics_.counter("uop/handler/inline_fallbacks") +=

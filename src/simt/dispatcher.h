@@ -30,7 +30,9 @@ class HandlerDispatcher
      * Both ways the executor reaches a site — the generic
      * per-instruction JCAL and a fused site (simt/site_fuse.h) —
      * land here, so every dispatch gets the same bookkeeping, the
-     * same handler effects, and the same fault surfacing.
+     * same handler effects, and the same fault surfacing. The one
+     * exception is a fused visit that handlerRuns() said runs no
+     * handler body: it calls noteDispatch() alone.
      *
      * @param exec The running executor (register/memory access).
      * @param warp The calling warp; activeMask lanes made the call.
@@ -42,7 +44,8 @@ class HandlerDispatcher
      *        through the generic address).
      * @param fused Whether the call comes from a fused site. Only
      *        sites inlineDispatchable() accepted are fused; they run
-     *        without a fiber group.
+     *        without a fiber group, and only visits handlerRuns()
+     *        accepted at entry dispatch.
      * @return true when the handler wrote device memory that a fused
      *         site's epilogue may reload (the parameter frame or the
      *         lane-local window). A false return licenses the caller
@@ -52,6 +55,24 @@ class HandlerDispatcher
     virtual bool dispatch(Executor &exec, Warp &warp, int32_t site_key,
                           const uint64_t *frame_addr,
                           uint8_t *const *frame_host, bool fused) = 0;
+
+    /**
+     * @return whether a handler body runs for this warp at site_key.
+     * dispatch() asks it on a generic JCAL; a fused site asks it
+     * once per visit, at entry, before any frame store, and on a no
+     * (an idle visit) calls noteDispatch() at the JCAL round instead
+     * of dispatch().
+     */
+    virtual bool handlerRuns(Executor &exec, Warp &warp,
+                             int32_t site_key) = 0;
+
+    /**
+     * The bookkeeping of one site call, whether or not a handler
+     * body runs: dispatch() starts with it, and an idle fused visit
+     * does only this.
+     */
+    virtual void noteDispatch(Executor &exec, Warp &warp,
+                              int32_t site_key) = 0;
 
     /**
      * @return true when the handler behind site_key may be called

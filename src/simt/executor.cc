@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <span>
 
 #include "simt/simd/simd_exec.h"
 #include "simt/simd/site_frame.h"
@@ -81,6 +82,96 @@ siteAddress(const SiteRun &run, const Warp &warp, uint32_t active,
         carry[lane] = (sum >> 32) != 0 ? 1u : 0u;
         if (run.addrPair)
             hi[lane] = (ahs ? ahs[lane] : 0) + run.addrImmHi + carry[lane];
+    }
+}
+
+/**
+ * Phase-A frame stores for the active lanes, as direct 32-bit
+ * stores. Store-major order: the per-lane ingredients (frame
+ * pointer, recomputed memory address) are captured in ctx, then each
+ * template store's kind is decoded once and applied to every active
+ * lane in a tight strided loop. Register reads index the lane's
+ * register file slice directly, bounds-checked (out-of-budget and RZ
+ * read 0, like Warp::reg).
+ */
+void
+storeSiteFrame(std::span<const SiteStore> stores,
+               const simd::SiteFrameCtx &ctx)
+{
+    const Warp &warp = *ctx.warp;
+    const uint32_t active = ctx.active;
+    for (const SiteStore &st : stores) {
+        // Destination of the store for one lane (frame-relative or
+        // absolute within the lane's local memory).
+        const auto dst = [&](int lane) -> uint8_t * {
+            return (st.abs ? ctx.lmem0 +
+                                 static_cast<size_t>(lane) * ctx.lstride
+                           : ctx.fptr[lane]) +
+                   st.off;
+        };
+        switch (st.kind) {
+          case SiteStore::Kind::Const:
+            for (int lane = 0; lane < WarpSize; ++lane)
+                if (active & (1u << lane))
+                    std::memcpy(dst(lane), &st.imm, 4);
+            break;
+          case SiteStore::Kind::Reg: {
+            const uint32_t *span =
+                st.reg < ctx.numRegs
+                    ? ctx.regs0 + static_cast<size_t>(st.reg) * WarpSize
+                    : nullptr;
+            for (int lane = 0; lane < WarpSize; ++lane) {
+                if (!(active & (1u << lane)))
+                    continue;
+                uint32_t v = span ? span[lane] : 0;
+                std::memcpy(dst(lane), &v, 4);
+            }
+            break;
+          }
+          case SiteStore::Kind::AddrLo:
+            for (int lane = 0; lane < WarpSize; ++lane)
+                if (active & (1u << lane))
+                    std::memcpy(dst(lane), &ctx.addrLo[lane], 4);
+            break;
+          case SiteStore::Kind::AddrHi:
+            for (int lane = 0; lane < WarpSize; ++lane)
+                if (active & (1u << lane))
+                    std::memcpy(dst(lane), &ctx.addrHi[lane], 4);
+            break;
+          case SiteStore::Kind::PredBits:
+            for (int lane = 0; lane < WarpSize; ++lane) {
+                if (!(active & (1u << lane)))
+                    continue;
+                uint32_t v = warp.predByte(lane) & st.imm;
+                std::memcpy(dst(lane), &v, 4);
+            }
+            break;
+          case SiteStore::Kind::CCOrig:
+            for (int lane = 0; lane < WarpSize; ++lane) {
+                if (!(active & (1u << lane)))
+                    continue;
+                uint32_t v = warp.cc(lane) ? 0x80u : 0u;
+                std::memcpy(dst(lane), &v, 4);
+            }
+            break;
+          case SiteStore::Kind::CCCarry:
+            for (int lane = 0; lane < WarpSize; ++lane) {
+                if (!(active & (1u << lane)))
+                    continue;
+                uint32_t v = ctx.carry[lane] ? 0x80u : 0u;
+                std::memcpy(dst(lane), &v, 4);
+            }
+            break;
+          case SiteStore::Kind::GuardFlag:
+            for (int lane = 0; lane < WarpSize; ++lane) {
+                if (!(active & (1u << lane)))
+                    continue;
+                uint32_t v =
+                    warp.pred(lane, st.reg) != st.neg ? 1u : 0u;
+                std::memcpy(dst(lane), &v, 4);
+            }
+            break;
+        }
     }
 }
 
@@ -811,113 +902,39 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
     const uint64_t lanes = static_cast<uint64_t>(popc(active));
     chargeSiteHalf(run.pre, lanes);
 
-    // Materialize the frame template: every spill and parameter
-    // store of the prologue, as direct 32-bit stores. Store-major
-    // order: the per-lane ingredients (frame pointer, recomputed
-    // memory address) were captured above, then each template
-    // store's kind is decoded once and applied to every active lane
-    // in a tight strided loop. Register reads index the lane's
-    // register file slice directly, bounds-checked (out-of-budget
-    // and RZ read 0, like Warp::reg).
-    // SIMD tier first: compute each template store 8 lanes at a
-    // time, then one transposed (masked) 256-bit store per lane per
-    // 8-slot frame window (simt/simd/site_frame.cc). Returns false
-    // when compiled out; the scalar store-major loop below is the
-    // fallback and the simd=0 reference the differential suites
-    // compare against.
-    bool frames_vectored = false;
-    if (simd_on_) {
-        simd::SiteFrameCtx fctx;
-        fctx.run = &run;
-        fctx.warp = &warp;
-        fctx.active = active;
-        fctx.fptr = fptr;
-        fctx.addrLo = addr_lo;
-        fctx.addrHi = addr_hi;
-        fctx.carry = carry;
-        fctx.lmem0 = lmem0;
-        fctx.lstride = lstride;
-        fctx.regs0 = regs0;
-        fctx.numRegs = num_regs;
-        frames_vectored = simd::storeSiteFrames(fctx);
+    // Whether a handler body runs for this warp, asked once per
+    // visit. An idle visit (no) reads no parameter: it writes only
+    // the slots its epilogue or a later site reads back, with the
+    // scalar loop.
+    const bool idle = !d->handlerRuns(*this, warp, run.siteKey);
+    simd::SiteFrameCtx fctx;
+    fctx.run = &run;
+    fctx.warp = &warp;
+    fctx.active = active;
+    fctx.fptr = fptr;
+    fctx.addrLo = addr_lo;
+    fctx.addrHi = addr_hi;
+    fctx.carry = carry;
+    fctx.lmem0 = lmem0;
+    fctx.lstride = lstride;
+    fctx.regs0 = regs0;
+    fctx.numRegs = num_regs;
+    if (idle) {
+        storeSiteFrame(run.idleStores, fctx);
+        usage_.inlineSpillBytes += run.idleSpillBytes * lanes;
+        ++usage_.idleHandlerCalls;
+    } else {
+        // Materialize the whole frame template: every spill and
+        // parameter store of the prologue. SIMD tier first: compute
+        // each template store 8 lanes at a time, then one transposed
+        // (masked) 256-bit store per lane per 8-slot frame window
+        // (simt/simd/site_frame.cc). It returns false when compiled
+        // out; the scalar store-major loop is the fallback and the
+        // simd=0 reference the differential suites compare against.
+        if (!simd_on_ || !simd::storeSiteFrames(fctx))
+            storeSiteFrame(run.stores, fctx);
+        usage_.inlineSpillBytes += run.spillBytesPerLane() * lanes;
     }
-    for (const SiteStore &st : run.stores) {
-        if (frames_vectored)
-            break;
-        // Destination of the store for one lane (frame-relative or
-        // absolute within the lane's local memory).
-        const auto dst = [&](int lane) -> uint8_t * {
-            return (st.abs
-                        ? lmem0 + static_cast<size_t>(lane) * lstride
-                        : fptr[lane]) +
-                   st.off;
-        };
-        switch (st.kind) {
-          case SiteStore::Kind::Const:
-            for (int lane = 0; lane < WarpSize; ++lane)
-                if (active & (1u << lane))
-                    std::memcpy(dst(lane), &st.imm, 4);
-            break;
-          case SiteStore::Kind::Reg: {
-            const uint32_t *span =
-                st.reg < num_regs
-                    ? regs0 + static_cast<size_t>(st.reg) * WarpSize
-                    : nullptr;
-            for (int lane = 0; lane < WarpSize; ++lane) {
-                if (!(active & (1u << lane)))
-                    continue;
-                uint32_t v = span ? span[lane] : 0;
-                std::memcpy(dst(lane), &v, 4);
-            }
-            break;
-          }
-          case SiteStore::Kind::AddrLo:
-            for (int lane = 0; lane < WarpSize; ++lane)
-                if (active & (1u << lane))
-                    std::memcpy(dst(lane), &addr_lo[lane], 4);
-            break;
-          case SiteStore::Kind::AddrHi:
-            for (int lane = 0; lane < WarpSize; ++lane)
-                if (active & (1u << lane))
-                    std::memcpy(dst(lane), &addr_hi[lane], 4);
-            break;
-          case SiteStore::Kind::PredBits:
-            for (int lane = 0; lane < WarpSize; ++lane) {
-                if (!(active & (1u << lane)))
-                    continue;
-                uint32_t v = warp.predByte(lane) & st.imm;
-                std::memcpy(dst(lane), &v, 4);
-            }
-            break;
-          case SiteStore::Kind::CCOrig:
-            for (int lane = 0; lane < WarpSize; ++lane) {
-                if (!(active & (1u << lane)))
-                    continue;
-                uint32_t v = warp.cc(lane) ? 0x80u : 0u;
-                std::memcpy(dst(lane), &v, 4);
-            }
-            break;
-          case SiteStore::Kind::CCCarry:
-            for (int lane = 0; lane < WarpSize; ++lane) {
-                if (!(active & (1u << lane)))
-                    continue;
-                uint32_t v = carry[lane] ? 0x80u : 0u;
-                std::memcpy(dst(lane), &v, 4);
-            }
-            break;
-          case SiteStore::Kind::GuardFlag:
-            for (int lane = 0; lane < WarpSize; ++lane) {
-                if (!(active & (1u << lane)))
-                    continue;
-                uint32_t v =
-                    warp.pred(lane, st.reg) != st.neg ? 1u : 0u;
-                std::memcpy(dst(lane), &v, 4);
-            }
-            break;
-        }
-    }
-
-    usage_.inlineSpillBytes += run.spillBytesPerLane() * lanes;
     ++usage_.inlineHandlerCalls;
 
     // Park on the JCAL's round: this round covered instruction
@@ -925,6 +942,7 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
     // and the round after that — the exact round the generic path
     // would execute the JCAL in — dispatches the handler.
     warp.pendingSite = id;
+    warp.pendingIdle = idle;
     warp.pc = run.start + run.jcalIdx;
     warp.skipRounds = run.jcalIdx - 1;
     return true;
@@ -934,20 +952,17 @@ void
 Executor::completeSiteRun(Warp &warp)
 {
     const SiteRun &run = prog_->siteRun(warp.pendingSite);
+    const bool idle = warp.pendingIdle;
     warp.pendingSite = 0;
     const uint32_t active = warp.activeMask;
     const uint64_t lanes = static_cast<uint64_t>(popc(active));
 
-    // The JCAL round: call the handler inline, no fiber group. R1
-    // still holds its site-entry value (only the epilogue's register
-    // effects, applied below, touch registers).
+    // The JCAL round. R1 still holds its site-entry value (only the
+    // epilogue's register effects, applied below, touch registers).
+    // Capture it and the frame offset for the epilogue replay — the
+    // handler cannot modify the register file (SetRegValue writes
+    // frame slots), so the values stay valid across the dispatch.
     ++stats_.handlerCalls;
-    // Per-warp bases, hoisted: lane addresses differ only by a
-    // localBytes stride (and R1, which the ABI keeps warp-uniform
-    // but is read per lane anyway). The same pass captures the entry
-    // R1 and frame offset for the epilogue replay — the handler
-    // cannot modify the register file (SetRegValue writes frame
-    // slots), so the values stay valid across the dispatch.
     const uint64_t warp_window = localWindowAddr(warp, 0);
     const int num_regs = warp.numRegs;
     uint32_t *const regs0 = warp.regs.data();
@@ -957,29 +972,42 @@ Executor::completeSiteRun(Warp &warp)
         abi::StackPtr < num_regs
             ? regs0 + static_cast<size_t>(abi::StackPtr) * WarpSize
             : nullptr;
-    uint64_t frame_addr[WarpSize] = {};
-    uint8_t *frame_host[WarpSize] = {};
     uint32_t r1v[WarpSize];
     uint64_t fb[WarpSize]; // Frame byte offset within lane lmem.
     for (int lane = 0; lane < WarpSize; ++lane) {
         if (!(active & (1u << lane)))
             continue;
-        const uint32_t r1 = r1s ? r1s[lane] : 0;
-        r1v[lane] = r1;
-        const uint64_t b = static_cast<uint64_t>(
-            static_cast<int64_t>(r1) + run.frameRel);
-        fb[lane] = b;
-        frame_host[lane] = warp.localMem.data() +
-                           static_cast<size_t>(lane) * lstride + b;
-        frame_addr[lane] =
-            warp_window + static_cast<uint64_t>(lane) * lstride + b;
+        r1v[lane] = r1s ? r1s[lane] : 0;
+        fb[lane] = static_cast<uint64_t>(
+            static_cast<int64_t>(r1v[lane]) + run.frameRel);
     }
     // When the handler left frame memory untouched, identity fills
     // (reloads of exactly what the prologue spilled) are no-ops: the
     // parked warp executed nothing between the phases, so the
     // register/predicate files still hold the spilled values.
-    const bool frame_dirty = dev_.dispatcher()->dispatch(
-        *this, warp, run.siteKey, frame_addr, frame_host, true);
+    bool frame_dirty = false;
+    HandlerDispatcher &d = *dev_.dispatcher();
+    if (idle) {
+        // No handler body runs: the bookkeeping alone, and the frame
+        // stays clean.
+        d.noteDispatch(*this, warp, run.siteKey);
+    } else {
+        // Call the handler inline, no fiber group. Lane addresses
+        // differ only by a localBytes stride (and R1, which the ABI
+        // keeps warp-uniform but is read per lane anyway).
+        uint64_t frame_addr[WarpSize] = {};
+        uint8_t *frame_host[WarpSize] = {};
+        for (int lane = 0; lane < WarpSize; ++lane) {
+            if (!(active & (1u << lane)))
+                continue;
+            const uint64_t b =
+                static_cast<uint64_t>(lane) * lstride + fb[lane];
+            frame_host[lane] = warp.localMem.data() + b;
+            frame_addr[lane] = warp_window + b;
+        }
+        frame_dirty = d.dispatch(*this, warp, run.siteKey, frame_addr,
+                                 frame_host, true);
+    }
 
     // Epilogue half: charged only once the handler returned, like
     // the generic path (a handler fault leaves the JCAL charged but
@@ -988,7 +1016,7 @@ Executor::completeSiteRun(Warp &warp)
 
     // Apply the epilogue's effects, effect-major. Every effect value
     // derives from entry register values (R1 and the memory-address
-    // base registers, captured above before any write — they may
+    // base registers, captured before any write — they may
     // themselves be fill destinations) or from frame memory, which
     // register writes never touch — so each effect can be written
     // for all lanes as soon as it is decoded. When the handler left

@@ -253,8 +253,10 @@ class Executor
 
     /**
      * Try to enter a fused instrumentation site: materialize the
-     * site's parameter frame from its compiled template and park the
-     * warp on the round its JCAL would execute in. Returns false —
+     * site's parameter frame from its compiled template (only the
+     * slots read back after the JCAL when no handler body runs for
+     * the warp) and park the warp on the round its JCAL would
+     * execute in. Returns false —
      * and leaves the warp untouched — when the site must take the
      * generic per-instruction path (handler not inline-dispatchable,
      * watchdog budget too tight, or a frame address the generic path
@@ -262,8 +264,9 @@ class Executor
      */
     bool enterSiteRun(Warp &warp, uint16_t id);
 
-    /** Dispatch the parked site's handler inline and replay the
-     *  epilogue's register effects from the compiled template. */
+    /** Dispatch the parked site's handler inline (or, for an idle
+     *  visit, only its bookkeeping) and replay the epilogue's
+     *  register effects from the compiled template. */
     void completeSiteRun(Warp &warp);
 
     /** Charge a site run's prologue or epilogue half as

@@ -211,10 +211,15 @@ struct DispatchUsage
     uint64_t superblockInstrs = 0;//!< Warp instructions inside them.
     uint64_t vectorUops = 0;      //!< Uops executed lane-vectorized.
     uint64_t scalarUops = 0;      //!< SIMD-tier scalar fallbacks.
-    uint64_t inlineHandlerCalls = 0; //!< Fused-site inline dispatches.
+    uint64_t inlineHandlerCalls = 0; //!< Fused-site visits (idle ones
+                                     //!< included).
+    uint64_t idleHandlerCalls = 0;   //!< Fused visits that ran no
+                                     //!< handler body.
     uint64_t fiberHandlerCalls = 0;  //!< Fiber-path dispatches.
     uint64_t inlineFallbacks = 0;    //!< Fused heads run generically.
-    uint64_t inlineSpillBytes = 0;   //!< Frame bytes written inline.
+    /** Spill bytes of fused visits: a live visit's whole spill/fill
+     *  template, an idle visit only the spill stores it keeps. */
+    uint64_t inlineSpillBytes = 0;
 
     /** Accumulate another worker's (or launch's) usage. */
     void
@@ -225,6 +230,7 @@ struct DispatchUsage
         vectorUops += o.vectorUops;
         scalarUops += o.scalarUops;
         inlineHandlerCalls += o.inlineHandlerCalls;
+        idleHandlerCalls += o.idleHandlerCalls;
         fiberHandlerCalls += o.fiberHandlerCalls;
         inlineFallbacks += o.inlineFallbacks;
         inlineSpillBytes += o.inlineSpillBytes;

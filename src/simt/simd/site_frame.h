@@ -3,8 +3,8 @@
  * SIMD tier for phase-A frame materialization of fused
  * instrumentation sites (simt/site_fuse.h).
  *
- * The scalar path in Executor::enterSiteRun walks every template
- * store lane by lane: ~16 stores x 32 lanes of switch + memcpy per
+ * The scalar path (storeSiteFrame in executor.cc) walks every
+ * template store lane by lane: ~16 stores x 32 lanes of switch + memcpy per
  * dispatch dominates instrumented run time. The SoA register file
  * makes each store's 32 lane values one contiguous span (Kind::Reg)
  * or a pure function of lane bitmasks (PredBits/CC/GuardFlag), so
@@ -31,7 +31,8 @@ struct Warp;
 namespace sassi::simt::simd {
 
 /** Everything phase-A materialization reads, captured by the caller
- *  (Executor::enterSiteRun) after its per-lane precomputation. */
+ *  (Executor::enterSiteRun) after its per-lane precomputation; the
+ *  scalar store loop reads the same context. */
 struct SiteFrameCtx
 {
     const SiteRun *run = nullptr;

@@ -594,6 +594,40 @@ markIdentity(SiteRun &run)
 }
 
 /**
+ * Choose the stores an idle visit keeps (SiteRun::idleStores): every
+ * abs store, plus every store overlapping a slot that a non-identity
+ * effect or restore reads back. Identity effects need no slot, since
+ * a clean frame lets the epilogue skip them. Runs after markIdentity.
+ */
+void
+selectIdleStores(SiteRun &run)
+{
+    // Both sides are 4-byte words: they overlap when their offsets
+    // are less than 4 bytes apart.
+    const auto overlaps = [](const SiteStore &st, bool abs,
+                             uint32_t off) {
+        return st.abs == abs && st.off < off + 4 && off < st.off + 4;
+    };
+    for (const SiteStore &st : run.stores) {
+        const auto reloads = [&](const SiteRegEffect &e) {
+            return e.kind == SiteRegEffect::Kind::Load && !e.identity &&
+                   overlaps(st, e.abs, e.off);
+        };
+        const bool read_back =
+            std::ranges::any_of(run.effects, reloads) ||
+            (run.restorePred && !run.restorePredIdentity &&
+             overlaps(st, run.restorePredAbs, run.restorePredOff)) ||
+            (run.restoreCC && !run.restoreCCIdentity &&
+             overlaps(st, run.restoreCCAbs, run.restoreCCOff));
+        if (!st.abs && !read_back)
+            continue;
+        run.idleStores.push_back(st);
+        if (st.spill)
+            run.idleSpillBytes += 4;
+    }
+}
+
+/**
  * Bucket the template stores into SiteSlotGroups: aligned 8-slot
  * windows per row, each slot recording the last store that writes
  * it. Groups make the SIMD tier's store count proportional to frame
@@ -704,6 +738,7 @@ compileSiteRuns(const ir::Kernel &kernel,
             SiteRun run;
             if (scanner.scan(i, run)) {
                 markIdentity(run);
+                selectIdleStores(run);
                 buildSlotGroups(run);
                 summarizeEffects(run);
                 i += run.len;

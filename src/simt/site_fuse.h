@@ -213,6 +213,21 @@ struct SiteRun
     std::vector<SiteRegEffect> effects; //!< Phase B register effects.
 
     /**
+     * The template stores an idle visit keeps. An idle visit runs no
+     * handler body (no handler registered, or its warp filter
+     * rejected the warp), so nothing reads the parameter block; the
+     * frame only has to hold what is read back after the JCAL:
+     * every persistent (abs) spill slot, which later sites' fills
+     * read, and every slot a non-identity Load effect or pred/CC
+     * restore reads. Template order, so aliasing stores still land
+     * last-wins.
+     */
+    std::vector<SiteStore> idleStores;
+
+    /** Spill bytes per lane among idleStores (4 per spill store). */
+    uint64_t idleSpillBytes = 0;
+
+    /**
      * Every phase-B effect (including the pred/CC restores) is an
      * identity rewrite: when the handler leaves frame memory clean
      * the executor can skip the whole epilogue-replay block — the

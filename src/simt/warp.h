@@ -97,6 +97,13 @@ struct Warp
      */
     uint16_t pendingSite = 0;
 
+    /**
+     * With pendingSite: no handler body runs at that JCAL round (the
+     * dispatcher's handlerRuns() said no at site entry), so the
+     * round does only the dispatch bookkeeping.
+     */
+    bool pendingIdle = false;
+
     int numRegs = 0;
     uint32_t localBytes = 0;
 

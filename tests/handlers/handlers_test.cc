@@ -271,6 +271,13 @@ TEST(ErrorInjector, ProfilesAndInjectsAtSelectedSite)
     }
 }
 
+/** Live fused visits (a handler body ran) of one launch. */
+uint64_t
+liveVisits(const LaunchResult &r)
+{
+    return r.dispatch.inlineHandlerCalls - r.dispatch.idleHandlerCalls;
+}
+
 TEST(ErrorInjector, CensusAndInjectionDispatchInline)
 {
     // Both error tools are reentrant-safe lane loops: with the fast
@@ -285,6 +292,35 @@ TEST(ErrorInjector, CensusAndInjectionDispatchInline)
         EXPECT_GT(r.dispatch.inlineHandlerCalls, 0u);
         EXPECT_EQ(r.dispatch.fiberHandlerCalls, 0u);
     };
+    // An injection's sites, each served by a no-op handler in the
+    // injector's slot that accepts only the warp holding the target
+    // thread: @return that warp's visits to them.
+    auto targetWarpVisits = [&fastPath](const InjectionSite &site,
+                                        bool stores) {
+        auto w = workloads::makeVecAdd(256);
+        fastPath(*w);
+        Device dev;
+        w->setup(dev);
+        core::SassiRuntime rt(dev);
+        rt.instrument(ErrorInjector::options(stores));
+        core::HandlerTraits traits;
+        traits.warpSynchronous = false;
+        traits.reentrantSafe = true;
+        traits.warpFilter = [thread = site.thread](
+                                Executor &exec, Warp &warp,
+                                const core::SiteInfo &) {
+            const uint64_t first = exec.globalThreadLinear(warp, 0);
+            return thread >= first && thread < first + 32;
+        };
+        const auto noop = [](const core::HandlerEnv &) {};
+        if (stores)
+            rt.setBeforeHandler(noop, traits);
+        else
+            rt.setAfterHandler(noop, traits);
+        const LaunchResult r = w->run(dev);
+        EXPECT_TRUE(r.ok()) << r.message;
+        return liveVisits(r);
+    };
     std::vector<ErrorInjectionProfiler::LaunchProfile> profiles[2];
     for (bool stores : {false, true}) {
         SCOPED_TRACE(stores ? "census with stores" : "census");
@@ -298,6 +334,8 @@ TEST(ErrorInjector, CensusAndInjectionDispatchInline)
         const LaunchResult r = w->run(dev);
         ASSERT_TRUE(r.ok()) << r.message;
         expectInline(r);
+        // Every site has a handler and no warp filter: none idles.
+        EXPECT_EQ(r.dispatch.idleHandlerCalls, 0u);
         profiles[stores] =
             stores ? profiler.storeProfiles() : profiler.profiles();
     }
@@ -318,8 +356,16 @@ TEST(ErrorInjector, CensusAndInjectionDispatchInline)
         core::SassiRuntime rt(dev);
         rt.instrument(ErrorInjector::options(stores));
         ErrorInjector injector(dev, rt, sites[0]);
-        expectInline(w->run(dev));
+        const LaunchResult r = w->run(dev);
+        expectInline(r);
         EXPECT_TRUE(injector.injected());
+        // Armed, the injector's warp filter passes only the target
+        // warp, and only until the flip disarms it; a store mode's
+        // after sites have no handler at all. So every other visit
+        // idles, and the target warp's live visits number at least
+        // one (the flip) and at most all of them.
+        EXPECT_GT(liveVisits(r), 0u);
+        EXPECT_LE(liveVisits(r), targetWarpVisits(sites[0], stores));
     }
 }
 

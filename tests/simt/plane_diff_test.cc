@@ -24,12 +24,14 @@
  * error-injection census, a register-writing handler and two handler
  * faults. `HandlerInlineDiff.<case>`, `ErrorToolDiff.<case>` (the
  * census and one armed error per destination class) and
- * `StackPtrSiteDiff.<Tool>` (register info on an instruction naming
- * R1, which must stay generic) compare fused_simd with simd, the fast
- * path the only switch between them. The workload cases, the
- * `ErrorToolDiff` cases and `StackPtrSiteDiff.ErrorInjector` are
- * fiber-free, so the TSan preset runs them; the other handler rows
- * dispatch on fibers and run in the default preset only.
+ * `IdleSiteDiff.<case>` (fused visits that run no handler body, mixed
+ * with live ones) and `StackPtrSiteDiff.<Tool>` (register info on an
+ * instruction naming R1, which must stay generic) compare fused_simd
+ * with simd, the fast path the only switch between them. The
+ * workload cases, the `ErrorToolDiff` and `IdleSiteDiff` cases and
+ * `StackPtrSiteDiff.ErrorInjector` are fiber-free, so the TSan
+ * preset runs them; the other handler rows dispatch on fibers and
+ * run in the default preset only.
  */
 
 #include <gtest/gtest.h>
@@ -438,10 +440,10 @@ const ToolRow kTools[] = {
  * must reach the register through the epilogue's replayed fills, as
  * it does through the generic epilogue, so the device output matches.
  */
-ToolBox
-registerWriter(Device &, core::SassiRuntime &rt, int)
+void
+addRegisterWriter(core::SassiRuntime &rt,
+                  core::HandlerTraits traits = {})
 {
-    core::HandlerTraits traits;
     traits.warpSynchronous = false;
     traits.reentrantSafe = true;
     rt.setAfterHandler([](const core::HandlerEnv &env) {
@@ -453,7 +455,22 @@ registerWriter(Device &, core::SassiRuntime &rt, int)
             env.rp.SetRegValue(dst, env.rp.GetRegValue(dst) + 1);
         }
     }, traits);
+}
+
+ToolBox
+registerWriter(Device &, core::SassiRuntime &rt, int)
+{
+    addRegisterWriter(rt);
     return {};
+}
+
+core::InstrumentOptions
+registerWriterOptions()
+{
+    core::InstrumentOptions o;
+    o.afterRegWrites = true;
+    o.registerInfo = true;
+    return o;
 }
 
 /** The fast-path group's extra rows: fusing must run the census's
@@ -462,14 +479,7 @@ registerWriter(Device &, core::SassiRuntime &rt, int)
 const ToolRow kFastpathRows[] = {
     {"ErrorInjectionProfiler",
      [] { return handlers::ErrorInjectionProfiler::options(); }, census},
-    {"RegisterWriter",
-     [] {
-         core::InstrumentOptions o;
-         o.afterRegWrites = true;
-         o.registerInfo = true;
-         return o;
-     },
-     registerWriter},
+    {"RegisterWriter", registerWriterOptions, registerWriter},
 };
 
 RunObservation
@@ -642,6 +652,96 @@ runInjectionCase(const InjectionCase &c, const DispatchMode &m,
     RunObservation obs =
         runInjection(stressKernel(), site, c.flips, m, threads);
     EXPECT_TRUE(obs.outcome == c.outcome) << outcomeName(obs.outcome);
+    return obs;
+}
+
+/// @}
+/// @name Idle-visit rows
+/// @{
+
+/**
+ * A fused visit that runs no handler body writes only the frame slots
+ * read back after its JCAL (SiteRun::idleStores). Each row mixes idle
+ * and live visits in every CTA and checks how many are idle; both
+ * run lane loops, so they are fiber-free.
+ */
+struct IdleCase
+{
+    const char *name;
+    core::InstrumentOptions (*options)();
+    void (*install)(core::SassiRuntime &rt);
+    /** The fused run's idle visit count, from its result (null:
+     *  only checked to be neither none nor all). */
+    uint64_t (*expectedIdle)(LaunchResult &r);
+};
+
+/** Before and after sites with spill elision: spills go to
+ *  persistent slots, which later sites fill from without
+ *  re-spilling, so an idle visit must still write them. */
+core::InstrumentOptions
+beforeAndAfterOptions()
+{
+    core::InstrumentOptions o = registerWriterOptions();
+    o.beforeAll = true;
+    o.elideRedundantSpills = true;
+    return o;
+}
+
+const IdleCase kIdleCases[] = {
+    // The writer's warp filter accepts odd warp ranks only: in each
+    // two-warp CTA, warp 0's visits are idle and warp 1's live. The
+    // writes raise warp 1's loop trip counts, so the split is uneven.
+    {"OddWarpRegisterWriter", registerWriterOptions,
+     [](core::SassiRuntime &rt) {
+         core::HandlerTraits traits;
+         traits.warpFilter = [](Executor &, Warp &warp,
+                                const core::SiteInfo &) {
+             return (warp.rank & 1) != 0;
+         };
+         addRegisterWriter(rt, traits);
+     },
+     nullptr},
+    // Only the after handler is registered: every before visit idles.
+    {"NullBeforeHandler", beforeAndAfterOptions,
+     [](core::SassiRuntime &rt) { addRegisterWriter(rt); },
+     [](LaunchResult &r) {
+         return r.metrics.counter("core/dispatch/flavor/before");
+     }},
+    // Only a (no-op) before handler is registered: every after visit
+    // idles. An after site is where a register's new value reaches
+    // its persistent slot, and the next site fills from it; a frame
+    // that dropped the slot would corrupt the register.
+    {"NullAfterHandler", beforeAndAfterOptions,
+     [](core::SassiRuntime &rt) {
+         core::HandlerTraits traits;
+         traits.warpSynchronous = false;
+         traits.reentrantSafe = true;
+         rt.setBeforeHandler([](const core::HandlerEnv &) {}, traits);
+     },
+     [](LaunchResult &r) {
+         return r.metrics.counter("core/dispatch/flavor/after");
+     }},
+};
+
+RunObservation
+runIdleCase(const IdleCase &c, const DispatchMode &m, int threads)
+{
+    StressRun run(c.options());
+    c.install(run.rt);
+    LaunchResult r;
+    RunObservation obs = run.launch(m, threads, &r);
+    EXPECT_TRUE(obs.outcome == Outcome::Ok) << obs.message;
+    EXPECT_EQ(r.dispatch.inlineFallbacks, 0u);
+    if (m.fp) {
+        EXPECT_GT(r.dispatch.idleHandlerCalls, 0u);
+        EXPECT_LT(r.dispatch.idleHandlerCalls,
+                  r.dispatch.inlineHandlerCalls);
+        if (c.expectedIdle) {
+            EXPECT_EQ(r.dispatch.idleHandlerCalls, c.expectedIdle(r));
+        }
+    } else {
+        EXPECT_EQ(r.dispatch.idleHandlerCalls, 0u);
+    }
     return obs;
 }
 
@@ -907,6 +1007,13 @@ identifier(const std::string &name)
         add("ErrorToolDiff", c.name, nullptr, [&c] {
             fastPathAgrees([&c](const DispatchMode &m, int threads) {
                 return runInjectionCase(c, m, threads);
+            });
+        });
+    }
+    for (const IdleCase &c : kIdleCases) {
+        add("IdleSiteDiff", c.name, nullptr, [&c] {
+            fastPathAgrees([&c](const DispatchMode &m, int threads) {
+                return runIdleCase(c, m, threads);
             });
         });
     }

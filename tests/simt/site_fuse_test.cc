@@ -231,4 +231,53 @@ TEST(SiteFuseTemplate, IdentityMarkingIsExact)
     }
 }
 
+TEST(SiteFuseTemplate, IdleStoresKeepOnlyReadBackSlots)
+{
+    // An idle visit (no handler body) keeps the persistent spill
+    // slots and the slots its epilogue reads back. In the pass's
+    // layout the only such frame slot is the CC spill. The epilogue
+    // reloads the R3 scratch from it, which is R3's final value
+    // unless the site spilled R3 and fills it afterwards; and after
+    // a 64-bit address recompute the slot holds the carry that the
+    // CC restore takes. Nothing of the parameter block is kept.
+    // The naive mode spills R3 at every site; the others never do
+    // here, as the kernel does not use R3.
+    enum class Spills { Frame, Persistent, Naive };
+    for (Spills mode : {Spills::Frame, Spills::Persistent, Spills::Naive}) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        core::InstrumentOptions opts = handlers::InstrCounter::options();
+        opts.elideRedundantSpills = mode == Spills::Persistent;
+        opts.naiveSpillAll = mode == Spills::Naive;
+        FusedEnv env = makeFusedEnv(opts);
+        ASSERT_FALSE(env.runs.empty());
+        size_t kept_cc = 0;
+        for (const SiteRun &run : env.runs) {
+            SCOPED_TRACE("site " + std::to_string(run.siteKey));
+            const core::SiteInfo &site = env.rt->site(run.siteKey);
+            const bool cc_read_back =
+                !((site.spillMask >> 3) & 1u) || run.addrPair;
+            std::vector<const SiteStore *> expect;
+            uint64_t spill_bytes = 0;
+            for (const SiteStore &st : run.stores) {
+                const bool cc_slot =
+                    !st.abs && st.off == static_cast<uint32_t>(
+                                             core::frame::CCSpill);
+                if (st.abs || (cc_slot && cc_read_back)) {
+                    expect.push_back(&st);
+                    spill_bytes += st.spill ? 4 : 0;
+                }
+            }
+            ASSERT_EQ(run.idleStores.size(), expect.size());
+            for (size_t i = 0; i < expect.size(); ++i) {
+                EXPECT_EQ(run.idleStores[i].abs, expect[i]->abs);
+                EXPECT_EQ(run.idleStores[i].off, expect[i]->off);
+                EXPECT_TRUE(run.idleStores[i].kind == expect[i]->kind);
+                kept_cc += !expect[i]->abs;
+            }
+            EXPECT_EQ(run.idleSpillBytes, spill_bytes);
+        }
+        EXPECT_GT(kept_cc, 0u);
+    }
+}
+
 } // namespace

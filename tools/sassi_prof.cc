@@ -25,8 +25,8 @@
  * dynamic run totals, the SIMD-tier dispatch split — uops executed
  * lane-vectorized vs on their scalar exec function — and the
  * compiled-handler dispatch counters: inline vs fiber handler
- * calls, inline fallbacks, per-site spill bytes) alongside the
- * launch-scoped registry. An instrumented run
+ * calls, idle inline calls, inline fallbacks, per-site spill
+ * bytes) alongside the launch-scoped registry. An instrumented run
  * also prints a one-line handler-dispatch summary.
  */
 
@@ -165,8 +165,9 @@ main(int argc, char **argv)
 
     if (instrument) {
         // Handler dispatch split: how many site dispatches took the
-        // compiled inline path vs the generic fiber round-trip, and
-        // how much frame traffic the inline path wrote directly.
+        // compiled inline path (and how many of those ran no handler
+        // body) vs the generic fiber round-trip, and how much frame
+        // traffic the inline path wrote directly.
         auto counter_of = [&m](const char *name) -> uint64_t {
             for (const auto &[n, v] : m.counters())
                 if (n == name)
@@ -175,16 +176,18 @@ main(int argc, char **argv)
         };
         uint64_t inline_calls =
             counter_of("uop/handler/inline_calls");
+        uint64_t idle_calls = counter_of("uop/handler/idle_calls");
         uint64_t fiber_calls = counter_of("uop/handler/fiber_calls");
         uint64_t fallbacks =
             counter_of("uop/handler/inline_fallbacks");
         uint64_t spill_bytes =
             counter_of("uop/handler/inline_spill_bytes");
         uint64_t total = inline_calls + fiber_calls;
-        std::printf("handler dispatch: inline=%llu fiber=%llu "
-                    "(%.1f%% inline, %llu fallbacks), inline spill "
-                    "bytes=%llu\n",
+        std::printf("handler dispatch: inline=%llu (idle=%llu) "
+                    "fiber=%llu (%.1f%% inline, %llu fallbacks), "
+                    "inline spill bytes=%llu\n",
                     static_cast<unsigned long long>(inline_calls),
+                    static_cast<unsigned long long>(idle_calls),
                     static_cast<unsigned long long>(fiber_calls),
                     total ? 100.0 * static_cast<double>(inline_calls) /
                                 static_cast<double>(total)
