@@ -201,7 +201,7 @@ launchOnce(Setup &s, int superblocks, int fastpath = -1,
 double
 perLaunchSecs(Setup &s, int threads, int ctas, int launches = 3)
 {
-    launchOnce(s, 1, -1, threads, ctas); // Warm pool + uop cache.
+    launchOnce(s, 1, -1, threads, ctas); // Warm pool + compile.
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < launches; ++i) {
         auto r = launchOnce(s, 1, -1, threads, ctas);
@@ -471,7 +471,7 @@ main(int argc, char **argv)
     }
 
     Metrics uop = UopCache::global().snapshot();
-    std::printf("\n-- micro-op cache --\n");
+    std::printf("\n-- micro-op tally --\n");
     for (const auto &[name, value] : uop.counters())
         std::printf("%-32s %llu\n", name.c_str(),
                     static_cast<unsigned long long>(value));

@@ -29,7 +29,7 @@
 #include "sass/encoding.h"
 #include "sassir/cfg.h"
 #include "sassir/liveness.h"
-#include "simt/decode.h"
+#include "simt/dispatcher.h"
 #include "util/bitops.h"
 #include "util/logging.h"
 
@@ -540,13 +540,8 @@ void
 instrumentModule(ir::Module &module, const InstrumentOptions &opts,
                  SassiRuntime &runtime)
 {
-    for (auto &kernel : module.kernels) {
+    for (auto &kernel : module.kernels)
         instrumentKernel(kernel, opts, runtime);
-        // The rewrite changed the kernel's content fingerprint, so
-        // future launches recompile; dropping the stale micro-
-        // program here just bounds cache growth.
-        simt::UopCache::global().invalidate(kernel.name);
-    }
 }
 
 } // namespace sassi::core

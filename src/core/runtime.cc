@@ -195,7 +195,12 @@ SassiRuntime::instrument(const InstrumentOptions &opts)
              "runtime");
     instrumented_ = true;
     opts_ = opts;
-    instrumentModule(dev_.module(), opts, *this);
+    // Rewrite a copy and load it back: loading is the device's one
+    // way to change code, and it drops the programs compiled from
+    // the bare kernels.
+    ir::Module module = dev_.module();
+    instrumentModule(module, opts, *this);
+    dev_.loadModule(std::move(module));
 
     static_metrics_.counter("core/sites/total") = sites_.size();
     for (const SiteInfo &s : sites_) {

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "sassir/parser.h"
-#include "simt/decode.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -20,10 +19,62 @@ constexpr int kFormatVersion = 1;
 } // namespace
 
 uint64_t
+kernelFingerprint(const ir::Kernel &kernel)
+{
+    // FNV-1a over explicit fields (never raw struct bytes: padding
+    // is indeterminate). Any rewrite of the kernel — SASSI splicing,
+    // register renumbering, target fixups — changes the print.
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (i * 8)) & 0xff;
+            h *= 1099511628211ull;
+        }
+    };
+    for (char c : kernel.name)
+        mix(static_cast<uint8_t>(c));
+    mix(static_cast<uint64_t>(kernel.numRegs));
+    mix(kernel.localBytes);
+    mix(kernel.sharedBytes);
+    mix(kernel.isShader ? 1 : 0);
+    mix(kernel.code.size());
+    for (const sass::Instruction &ins : kernel.code) {
+        mix(static_cast<uint64_t>(ins.op));
+        mix(static_cast<uint64_t>(ins.guard) |
+            (ins.guardNeg ? 0x100u : 0u));
+        mix(ins.dst);
+        mix(ins.srcA);
+        mix(ins.srcB);
+        mix(ins.srcC);
+        mix(ins.bIsImm ? 1 : 0);
+        mix(static_cast<uint64_t>(ins.imm));
+        mix(static_cast<uint64_t>(ins.pDst) |
+            (static_cast<uint64_t>(ins.pSrc) << 8) |
+            (ins.pSrcNeg ? 0x10000u : 0u));
+        mix(static_cast<uint64_t>(ins.cmp) |
+            (static_cast<uint64_t>(ins.logic) << 8) |
+            (static_cast<uint64_t>(ins.vote) << 16) |
+            (static_cast<uint64_t>(ins.shfl) << 24) |
+            (static_cast<uint64_t>(ins.atom) << 32) |
+            (static_cast<uint64_t>(ins.mufu) << 40) |
+            (static_cast<uint64_t>(ins.sreg) << 48) |
+            (static_cast<uint64_t>(ins.space) << 56));
+        mix(static_cast<uint64_t>(ins.width) |
+            (ins.setCC ? 0x100u : 0u) | (ins.useCC ? 0x200u : 0u) |
+            (ins.sExt ? 0x400u : 0u) |
+            (ins.synthetic ? 0x800u : 0u) |
+            (ins.spillFill ? 0x1000u : 0u));
+        mix(static_cast<uint64_t>(
+            static_cast<int64_t>(ins.target)));
+    }
+    return h;
+}
+
+uint64_t
 programContentHash(const FuzzProgram &p)
 {
     const ir::Kernel *k = p.kernel();
-    uint64_t h = k ? simt::UopCache::fingerprint(*k) : kFnvBasis;
+    uint64_t h = k ? kernelFingerprint(*k) : kFnvBasis;
     h = fnv1aU64(p.gridX, h);
     h = fnv1aU64(p.blockX, h);
     h = fnv1aU64(p.inWords, h);

@@ -40,9 +40,16 @@ namespace sassi::fuzz {
 std::string formatProgram(const FuzzProgram &p);
 
 /**
- * Content identity of a program: a hash of the kernel (via the
- * UopCache instruction fingerprint), the launch geometry, the
- * buffer layout, and the input seed — everything that determines
+ * Content fingerprint of a kernel: its name, register/local/shared
+ * budgets, and every instruction field. Any rewrite of the kernel
+ * changes it.
+ */
+uint64_t kernelFingerprint(const ir::Kernel &kernel);
+
+/**
+ * Content identity of a program: a hash of the kernel (via
+ * kernelFingerprint), the launch geometry, the buffer layout, and
+ * the input seed — everything that determines
  * behavior, and nothing that doesn't. The provenance directives
  * (";! seed S I") are deliberately excluded, so two campaign indices
  * arriving at byte-identical behavior (e.g.\ the same mutation of

@@ -507,7 +507,7 @@ parseAssembly(const std::string &text)
         // A .regs declaration wins; otherwise derive from usage. The
         // declaration exists so a printed kernel round-trips exactly
         // (a minimizer-shrunk kernel can use fewer registers than
-        // its budget, and the budget is part of the uop-cache
+        // its budget, and the budget is part of the kernel
         // fingerprint and so of reproducer content identity).
         // A register beyond the declared budget would only panic at
         // launch; reject it here like any other malformed listing.

@@ -177,135 +177,42 @@ UopCache::global()
     return cache;
 }
 
-uint64_t
-UopCache::fingerprint(const ir::Kernel &kernel)
+void
+UopCache::noteCompile(const std::string &kernel_name,
+                      const MicroProgram &prog)
 {
-    // FNV-1a over explicit fields (never raw struct bytes: padding
-    // is indeterminate). Any rewrite of the kernel — SASSI splicing,
-    // register renumbering, target fixups — changes the print.
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
-    };
-    for (char c : kernel.name)
-        mix(static_cast<uint8_t>(c));
-    mix(static_cast<uint64_t>(kernel.numRegs));
-    mix(kernel.localBytes);
-    mix(kernel.sharedBytes);
-    mix(kernel.isShader ? 1 : 0);
-    mix(kernel.code.size());
-    for (const Instruction &ins : kernel.code) {
-        mix(static_cast<uint64_t>(ins.op));
-        mix(static_cast<uint64_t>(ins.guard) |
-            (ins.guardNeg ? 0x100u : 0u));
-        mix(ins.dst);
-        mix(ins.srcA);
-        mix(ins.srcB);
-        mix(ins.srcC);
-        mix(ins.bIsImm ? 1 : 0);
-        mix(static_cast<uint64_t>(ins.imm));
-        mix(static_cast<uint64_t>(ins.pDst) |
-            (static_cast<uint64_t>(ins.pSrc) << 8) |
-            (ins.pSrcNeg ? 0x10000u : 0u));
-        mix(static_cast<uint64_t>(ins.cmp) |
-            (static_cast<uint64_t>(ins.logic) << 8) |
-            (static_cast<uint64_t>(ins.vote) << 16) |
-            (static_cast<uint64_t>(ins.shfl) << 24) |
-            (static_cast<uint64_t>(ins.atom) << 32) |
-            (static_cast<uint64_t>(ins.mufu) << 40) |
-            (static_cast<uint64_t>(ins.sreg) << 48) |
-            (static_cast<uint64_t>(ins.space) << 56));
-        mix(static_cast<uint64_t>(ins.width) |
-            (ins.setCC ? 0x100u : 0u) | (ins.useCC ? 0x200u : 0u) |
-            (ins.sExt ? 0x400u : 0u) |
-            (ins.synthetic ? 0x800u : 0u) |
-            (ins.spillFill ? 0x1000u : 0u));
-        mix(static_cast<uint64_t>(
-            static_cast<int64_t>(ins.target)));
-    }
-    return h;
-}
-
-std::shared_ptr<const MicroProgram>
-UopCache::get(const ir::Kernel &kernel, const UopConfig &cfg)
-{
-    // Salt the content print with the configuration so programs
-    // compiled with and without site fusing coexist in the cache.
-    uint64_t key = fingerprint(kernel);
-    if (cfg.fuseSites)
-        key ^= 0x9e3779b97f4a7c15ull;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end()) {
-            ++metrics_.counter("uop/cache/hits");
-            return it->second.prog;
-        }
-    }
-    // Compile outside the lock: programs are pure functions of the
-    // kernel, so two threads racing on the same key just do the
-    // work twice and the loser's copy is dropped.
-    auto prog = std::make_shared<const MicroProgram>(kernel, cfg);
     std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] =
-        entries_.emplace(key, Entry{kernel.name, prog});
-    if (!inserted) {
-        ++metrics_.counter("uop/cache/hits");
-        return it->second.prog;
-    }
     ++metrics_.counter("uop/cache/compiles");
-    metrics_.counter("uop/static/instrs") += prog->size();
+    metrics_.counter("uop/static/instrs") += prog.size();
     metrics_.counter("uop/static/superblocks") +=
-        prog->superblocks().size();
+        prog.superblocks().size();
     metrics_.counter("uop/static/superblock_instrs") +=
-        prog->superblockInstrs();
+        prog.superblockInstrs();
     MetricHistogram &lens =
         metrics_.histogram("uop/static/superblock_len");
-    for (const Superblock &sb : prog->superblocks())
+    for (const Superblock &sb : prog.superblocks())
         lens.observe(sb.len);
-    if (!prog->siteRuns().empty()) {
+    if (!prog.siteRuns().empty()) {
         metrics_.counter("uop/static/site_runs") +=
-            prog->siteRuns().size();
+            prog.siteRuns().size();
         metrics_.counter("uop/static/site_run_instrs") +=
-            prog->siteRunInstrs();
-        for (const SiteRun &run : prog->siteRuns()) {
+            prog.siteRunInstrs();
+        for (const SiteRun &run : prog.siteRuns()) {
             // Static property keyed by site, so assignment (not +=)
-            // keeps recompiles after invalidation idempotent.
+            // keeps recompiles on other devices idempotent.
             metrics_.counter(
-                "uop/handler/site/" + kernel.name + "@" +
+                "uop/handler/site/" + kernel_name + "@" +
                 std::to_string(run.start) + "/spill_bytes") =
                 run.spillBytesPerLane();
         }
     }
-    return it->second.prog;
-}
-
-size_t
-UopCache::invalidate(std::string_view kernel_name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t dropped = 0;
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if (it->second.name == kernel_name) {
-            it = entries_.erase(it);
-            ++dropped;
-        } else {
-            ++it;
-        }
-    }
-    metrics_.counter("uop/cache/invalidated") += dropped;
-    return dropped;
 }
 
 void
-UopCache::clear()
+UopCache::noteReuse()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-    metrics_.clear();
+    ++metrics_.counter("uop/cache/hits");
 }
 
 void
@@ -341,16 +248,7 @@ Metrics
 UopCache::snapshot() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    Metrics m = metrics_;
-    m.counter("uop/cache/entries") = entries_.size();
-    return m;
-}
-
-size_t
-UopCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_.size();
+    return metrics_;
 }
 
 } // namespace sassi::simt

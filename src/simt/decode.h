@@ -27,12 +27,11 @@
  *    template with direct stores, calls the handler inline when the
  *    dispatcher marks it reentrant-safe, and applies the epilogue's
  *    register effects — eliding the per-site fiber round-trip.
- *  - Compiled MicroPrograms are cached per kernel *content* in a
- *    process-wide thread-safe registry (UopCache), shared across
- *    launches and CTA-worker shards, with compile/hit counters and
- *    superblock-length histograms published through util/metrics.
- *    The cache key includes the UopConfig, so programs compiled
- *    with and without site fusing coexist.
+ *  - The Device compiles a kernel's MicroProgram at its first
+ *    launch and reuses it for later launches and every CTA-worker
+ *    shard, until loadModule replaces the code. Compile/reuse
+ *    counters and superblock-length histograms go to a process-wide
+ *    tally (UopCache) published through util/metrics.
  *
  * The generic step() path runs the same ALU exec functions one
  * instruction at a time, so it differs from a superblock run only
@@ -47,11 +46,8 @@
 #define SASSI_SIMT_DECODE_H
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,8 +62,8 @@ namespace sassi::simt {
 struct Warp;
 
 /**
- * Compile-time switches a MicroProgram is specialized on. Part of
- * the UopCache key, so differently configured programs coexist.
+ * Compile-time switches a MicroProgram is specialized on. A Device
+ * keeps one program per loaded kernel and configuration.
  */
 struct UopConfig
 {
@@ -233,31 +229,26 @@ class MicroProgram
 };
 
 /**
- * Process-wide registry of compiled micro-programs, keyed by a
- * content fingerprint of the kernel (name, register/local budget,
- * and every instruction field), so the same kernel compiled once is
- * shared across launches, Devices, and CTA-worker shards — and an
- * instrumented rewrite of a kernel (same name, new code) naturally
- * misses and recompiles. All entry points are thread-safe.
+ * Process-wide tally of micro-op compiles and dispatch-plane usage,
+ * published as "uop/..." metrics. It holds no programs: those live
+ * on the Device that launches them. All entry points are
+ * thread-safe.
  */
 class UopCache
 {
   public:
-    /** The process-wide cache instance. */
+    /** The process-wide tally. */
     static UopCache &global();
 
-    /** Look up (or compile and insert) a kernel's micro-program. */
-    std::shared_ptr<const MicroProgram> get(const ir::Kernel &kernel,
-                                            const UopConfig &cfg = {});
+    /** Credit a device's compile of a kernel: "uop/cache/compiles",
+     *  the program's "uop/static/..." shape, and each fused site's
+     *  spill bytes. */
+    void noteCompile(const std::string &kernel_name,
+                     const MicroProgram &prog);
 
-    /** Drop every entry compiled from a kernel with this name.
-     *  Called when a pass rewrites a kernel in place; lookups would
-     *  miss anyway (the fingerprint changed), so this only bounds
-     *  stale-entry growth. @return entries dropped. */
-    size_t invalidate(std::string_view kernel_name);
-
-    /** Drop every entry and reset the counters (tests). */
-    void clear();
+    /** Credit a launch that reused its device's compiled program
+     *  ("uop/cache/hits"). */
+    void noteReuse();
 
     /** Credit a finished launch's dispatch-plane usage: superblock
      *  runs, SIMD-tier vector vs scalar uops, and handler dispatches
@@ -266,29 +257,15 @@ class UopCache
      *  keys. */
     void noteUsage(const DispatchUsage &u);
 
-    /** @return a copy of the cache's metrics: compile/hit/entry
-     *  counters, superblock-length histogram, and dynamic run
-     *  totals, under "uop/...". Process-wide (not launch-scoped),
-     *  so the per-launch registry stays identical whether
-     *  superblocks are on or off. */
+    /** @return a copy of the tally: compile/reuse counters,
+     *  superblock-length histogram, and dynamic run totals, under
+     *  "uop/...". Process-wide (not launch-scoped), so the
+     *  per-launch registry stays identical whether superblocks are
+     *  on or off. */
     Metrics snapshot() const;
 
-    /** @return number of cached programs. */
-    size_t size() const;
-
-    /** Content fingerprint a kernel is cached under (the final key
-     *  additionally mixes in the UopConfig). */
-    static uint64_t fingerprint(const ir::Kernel &kernel);
-
   private:
-    struct Entry
-    {
-        std::string name;
-        std::shared_ptr<const MicroProgram> prog;
-    };
-
     mutable std::mutex mutex_;
-    std::map<uint64_t, Entry> entries_;
     Metrics metrics_;
 };
 

@@ -105,6 +105,23 @@ void
 Device::loadModule(ir::Module module)
 {
     module_ = std::move(module);
+    programs_.clear();
+    programs_.resize(module_.kernels.size());
+}
+
+const MicroProgram &
+Device::program(const ir::Kernel &kernel, const UopConfig &cfg)
+{
+    auto &slot =
+        programs_[static_cast<size_t>(&kernel - module_.kernels.data())]
+                 [cfg.fuseSites];
+    if (slot) {
+        UopCache::global().noteReuse();
+    } else {
+        slot = std::make_unique<const MicroProgram>(kernel, cfg);
+        UopCache::global().noteCompile(kernel.name, *slot);
+    }
+    return *slot;
 }
 
 LaunchResult
@@ -129,7 +146,11 @@ Device::launch(const std::string &kernel, Dim3 grid, Dim3 block,
     data.block[2] = block.z;
     callbacks_.fire(cupti::CallbackSite::KernelLaunch, data);
 
-    Executor exec(*this, *k, grid, block, args.bytes(), opts);
+    // The handler fast path runs on superblocks (simt/site_fuse.h).
+    UopConfig cfg;
+    cfg.fuseSites = opts.superblocks != 0 && opts.handlerFastpath != 0;
+    Executor exec(*this, *k, program(*k, cfg), grid, block,
+                  args.bytes(), opts);
     LaunchResult result = exec.run();
     total_stats_.add(result.stats);
     metrics_.merge(result.metrics);

@@ -12,15 +12,18 @@
 #ifndef SASSI_SIMT_DEVICE_H
 #define SASSI_SIMT_DEVICE_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "cupti/callbacks.h"
 #include "sassir/module.h"
+#include "simt/decode.h"
 #include "simt/dispatcher.h"
 #include "simt/launch.h"
 
@@ -102,16 +105,17 @@ class Device
     /// @name Code loading and launch
     /// @{
 
-    /** Load (or replace) the module executed by launches. */
+    /** Load (or replace) the module executed by launches, dropping
+     *  the programs compiled from the old one. This is the only way
+     *  to change the device's code. */
     void loadModule(ir::Module module);
 
     /** @return the loaded module. */
     const ir::Module &module() const { return module_; }
 
-    /** @return mutable access to the loaded module. */
-    ir::Module &module() { return module_; }
-
-    /** Launch a kernel by name; blocks until completion. */
+    /** Launch a kernel by name; blocks until completion. The
+     *  kernel's micro-program is compiled at its first launch and
+     *  reused by later ones. */
     LaunchResult launch(const std::string &kernel, Dim3 grid, Dim3 block,
                         const KernelArgs &args,
                         const LaunchOptions &opts = {});
@@ -167,6 +171,11 @@ class Device
     }
 
   private:
+    /** @return the kernel's program compiled for cfg, compiling it
+     *  at first use. */
+    const MicroProgram &program(const ir::Kernel &kernel,
+                                const UopConfig &cfg);
+
     struct FreeDeleter
     {
         void operator()(uint8_t *p) const { std::free(p); }
@@ -186,6 +195,10 @@ class Device
     uint64_t brk_ = GlobalBase;
     std::mutex mem_mutex_;
     ir::Module module_;
+    // Compiled micro-programs of module_'s kernels, by kernel index
+    // and UopConfig::fuseSites. Launches are serialized, so no lock.
+    std::vector<std::array<std::unique_ptr<const MicroProgram>, 2>>
+        programs_;
     HandlerDispatcher *dispatcher_ = nullptr;
     cupti::CallbackRegistry callbacks_;
     LaunchStats total_stats_;

@@ -177,13 +177,12 @@ storeSiteFrame(std::span<const SiteStore> stores,
 
 } // namespace
 
-Executor::Executor(Device &dev, const ir::Kernel &kernel, Dim3 grid,
-                   Dim3 block, std::vector<uint8_t> params,
-                   const LaunchOptions &opts)
+Executor::Executor(Device &dev, const ir::Kernel &kernel,
+                   const MicroProgram &prog, Dim3 grid, Dim3 block,
+                   std::vector<uint8_t> params, const LaunchOptions &opts)
     : dev_(dev), kernel_(kernel), grid_(grid), block_(block),
-      params_(std::move(params)), opts_(opts),
+      params_(std::move(params)), opts_(opts), prog_(prog),
       superblocks_on_(opts.superblocks != 0),
-      handler_fastpath_on_(superblocks_on_ && opts.handlerFastpath != 0),
       simd_on_(superblocks_on_ && opts.simd != 0 && simd::cpuHasAvx2())
 {
     static std::atomic<uint64_t> next_seq{1};
@@ -207,12 +206,6 @@ Executor::fault(Outcome outcome, const std::string &message) const
 LaunchResult
 Executor::run()
 {
-    if (!prog_) {
-        UopConfig cfg;
-        cfg.fuseSites = handler_fastpath_on_;
-        prog_ = UopCache::global().get(kernel_, cfg);
-    }
-
     const uint64_t total = grid_.count();
     int workers = resolveSimThreads(opts_.numThreads, total);
     const uint64_t chunk_ctas =
@@ -237,8 +230,7 @@ Executor::run()
     std::vector<std::unique_ptr<Executor>> shards;
     for (int w = 1; w < workers; ++w) {
         shards.emplace_back(std::make_unique<Executor>(
-            dev_, kernel_, grid_, block_, params_, opts_));
-        shards.back()->prog_ = prog_;
+            dev_, kernel_, prog_, grid_, block_, params_, opts_));
         shards.back()->fault_bound_ = &fault_bound;
     }
     fault_bound_ = &fault_bound;
@@ -797,7 +789,7 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
         // when it has a SIMD exec function, and falls back to its
         // scalar function (same semantics) when it doesn't.
         for (uint32_t i = 0; i < len; ++i) {
-            const MicroOp &u = prog_->at(start + i);
+            const MicroOp &u = prog_.at(start + i);
             (u.simd != nullptr ? u.simd : u.alu)(
                 uop_ctx_, warp, code[start + i], exec);
         }
@@ -805,7 +797,7 @@ Executor::execSuperblock(Warp &warp, const Superblock &sb)
         usage_.scalarUops += len - sb.simdUops;
     } else {
         for (uint32_t i = 0; i < len; ++i) {
-            const MicroOp &u = prog_->at(start + i);
+            const MicroOp &u = prog_.at(start + i);
             u.alu(uop_ctx_, warp, code[start + i], exec);
         }
     }
@@ -843,7 +835,7 @@ Executor::chargeSiteHalf(const SiteRunStats &half, uint64_t lanes)
 bool
 Executor::enterSiteRun(Warp &warp, uint16_t id)
 {
-    const SiteRun &run = prog_->siteRun(id);
+    const SiteRun &run = prog_.siteRun(id);
     HandlerDispatcher *d = dev_.dispatcher();
     if (!d || !d->inlineDispatchable(run.siteKey) ||
         watchdog_count_ + run.len > opts_.watchdog) {
@@ -951,7 +943,7 @@ Executor::enterSiteRun(Warp &warp, uint16_t id)
 void
 Executor::completeSiteRun(Warp &warp)
 {
-    const SiteRun &run = prog_->siteRun(warp.pendingSite);
+    const SiteRun &run = prog_.siteRun(warp.pendingSite);
     const bool idle = warp.pendingIdle;
     warp.pendingSite = 0;
     const uint32_t active = warp.activeMask;
@@ -1200,7 +1192,7 @@ Executor::refundRoundDebt()
         const uint32_t parked = warp.pendingSite != 0 ? 1 : 0;
         const uint32_t end = warp.pc + parked;
         for (uint32_t pc = end - warp.skipRounds - parked; pc < end; ++pc) {
-            const MicroOp &dec = prog_->at(pc);
+            const MicroOp &dec = prog_.at(pc);
             const Instruction &ins = kernel_.code[pc];
             chargeIssue(dec, ins, guardMask(warp, dec, ins), ~0ull);
         }
@@ -1231,15 +1223,14 @@ Executor::step(Warp &warp)
             "PC 0x%x outside kernel %s (%zu instructions)", warp.pc,
             kernel_.name.c_str(), kernel_.code.size()));
     }
-    const MicroOp &dec = prog_->at(warp.pc);
+    const MicroOp &dec = prog_.at(warp.pc);
 
     // Compiled-handler fast path: this pc heads a fused
     // instrumentation site whose spills, parameter stores, and
     // handler call were compiled into a frame template at decode
     // time. enterSiteRun falls back (returning false) when the site
     // must take the generic path below.
-    if (dec.site != 0 && handler_fastpath_on_ &&
-        enterSiteRun(warp, dec.site))
+    if (dec.site != 0 && enterSiteRun(warp, dec.site))
         return;
 
     // Superblock fast path: a run of unpredicated fast-path ALU
@@ -1248,7 +1239,7 @@ Executor::step(Warp &warp)
     // a hang faults at the exact instruction — with the exact
     // message — the per-instruction path would report.
     if (dec.sb != 0 && superblocks_on_) {
-        const Superblock &sb = prog_->superblock(dec.sb);
+        const Superblock &sb = prog_.superblock(dec.sb);
         if (watchdog_count_ + sb.len <= opts_.watchdog) {
             execSuperblock(warp, sb);
             return;

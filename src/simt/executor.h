@@ -57,12 +57,15 @@ class Executor
     /**
      * @param dev The device (memory, dispatcher).
      * @param kernel The kernel to run.
+     * @param prog The kernel's compiled micro-program; its
+     *        UopConfig::fuseSites switches the handler fast path.
      * @param grid Grid dimensions.
      * @param block Block dimensions.
      * @param params Packed kernel parameters (LDC space).
      * @param opts Launch options.
      */
-    Executor(Device &dev, const ir::Kernel &kernel, Dim3 grid, Dim3 block,
+    Executor(Device &dev, const ir::Kernel &kernel,
+             const MicroProgram &prog, Dim3 grid, Dim3 block,
              std::vector<uint8_t> params, const LaunchOptions &opts);
 
     /**
@@ -309,22 +312,21 @@ class Executor
     uint64_t launch_seq_ = 0;
     std::shared_ptr<void> dispatcher_scratch_;
 
-    // The kernel's compiled micro-program: fetched from the
-    // process-wide UopCache by the coordinating executor and shared
-    // read-only with its shards.
-    std::shared_ptr<const MicroProgram> prog_;
+    // The kernel's compiled micro-program, owned by the Device and
+    // shared read-only by the coordinating executor and its shards.
+    // Only a program compiled with UopConfig::fuseSites has site
+    // runs, so it alone decides the compiled-handler fast path.
+    const MicroProgram &prog_;
 
     // Dispatch planes, resolved from opts_ at construction. The
-    // compiled-handler fast path and the lane-vectorized exec
-    // functions (simt/simd/, AVX2 only) both require superblocks:
-    // site runs and vector uops live in the same micro-program.
+    // lane-vectorized exec functions (simt/simd/, AVX2 only)
+    // require superblocks: vector uops run inside superblock runs.
     const bool superblocks_on_;
-    const bool handler_fastpath_on_;
     const bool simd_on_;
 
     // Dispatch-plane usage of this worker, flushed to the UopCache
-    // and exported once per launch (never into the launch registry,
-    // which must serialize identically on every plane).
+    // tally and exported once per launch (never into the launch
+    // registry, which must serialize identically on every plane).
     DispatchUsage usage_;
 
     // Context the micro-op exec functions need beyond the warp;

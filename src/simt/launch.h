@@ -196,7 +196,7 @@ struct LaunchOptions
 /**
  * Which dispatch planes one launch actually ran through, as raw
  * dynamic counts. These are the same totals the executor credits to
- * the process-wide UopCache metrics ("uop/dynamic/...",
+ * the process-wide UopCache tally ("uop/dynamic/...",
  * "uop/simd/...", "uop/handler/..."), exported per launch so
  * observers with concurrent launches in flight — the fuzz campaign's
  * coverage tracker foremost — can attribute them to a single run

@@ -2,11 +2,10 @@
  * @file
  * Shared deterministic hashing primitives.
  *
- * Content identity shows up all over the reproduction — the UopCache
- * keys compiled micro-programs by kernel fingerprint, the fuzzer
- * dedups corpus entries and names reproducer files by program
- * content, and coverage signatures fold feature sets into stable
- * 64-bit keys. They all need the same property: a hash that is a
+ * Content identity shows up all over the reproduction — the fuzzer
+ * fingerprints kernels, dedups corpus entries and names reproducer
+ * files by program content, and coverage signatures fold feature
+ * sets into stable 64-bit keys. They all need the same property: a hash that is a
  * pure function of explicit field values (never raw struct bytes —
  * padding is indeterminate) and identical across hosts, build types,
  * and thread counts. FNV-1a provides that with no dependencies.

@@ -22,6 +22,7 @@
 #include "fuzz/campaign.h"
 #include "fuzz/corpus.h"
 #include "sass/instr.h"
+#include "sassir/builder.h"
 #include "sassir/module.h"
 #include "simt/simd/simd_exec.h"
 
@@ -222,6 +223,32 @@ TEST(ReproducerFiles, ContentHashIgnoresProvenance)
     FuzzProgram s = p;
     s.inputSeed ^= 1; // Input fill is behavior, so it is identity.
     EXPECT_NE(programContentHash(p), programContentHash(s));
+}
+
+/** mov; iadd; imul; exit, with a seed-dependent immediate. */
+ir::Kernel
+straightKernel(int32_t seed)
+{
+    ir::KernelBuilder kb("fp");
+    kb.mov32i(4, seed);
+    kb.iadd(5, 4, 4);
+    kb.imul(6, 5, 4);
+    kb.exit();
+    return kb.finish();
+}
+
+TEST(ReproducerFiles, KernelFingerprintIsContentSensitive)
+{
+    ir::Kernel a = straightKernel(7);
+    EXPECT_EQ(kernelFingerprint(a), kernelFingerprint(straightKernel(7)));
+
+    // Any instruction-field change must change the print.
+    EXPECT_NE(kernelFingerprint(a), kernelFingerprint(straightKernel(8)));
+
+    // So must a metadata change with identical code.
+    ir::Kernel d = straightKernel(7);
+    d.numRegs += 1;
+    EXPECT_NE(kernelFingerprint(a), kernelFingerprint(d));
 }
 
 TEST(ReproducerFiles, ContentKeyedPathsCannotCollide)

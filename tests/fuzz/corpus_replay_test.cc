@@ -9,7 +9,8 @@
  * computation cannot silently drift — a drifted signature would
  * quietly re-shape every campaign's corpus. SASSI_FUZZ_CORPUS_DIR is
  * injected by the build so the test finds the source-tree corpus
- * from any build directory.
+ * from any build directory. Each file's content hash is pinned too,
+ * since it names reproducer files.
  */
 
 #include <gtest/gtest.h>
@@ -50,6 +51,26 @@ TEST(CorpusReplay, CorpusFilesAreAFormatFixpoint)
         FuzzProgram p = loadProgram(f);
         FuzzProgram q = parseProgram(formatProgram(p));
         EXPECT_EQ(formatProgram(q), formatProgram(p)) << f;
+    }
+}
+
+TEST(CorpusReplay, ContentHashesArePinned)
+{
+    // programContentHash names reproducer files and dedups campaign
+    // corpora, so its values are part of the corpus format.
+    const std::map<std::string, uint64_t> pinned = {
+        {"seed1-0.sass", 0xa3ba296099030c32ull},
+        {"seed1-1.sass", 0x56585715b4d7ce18ull},
+        {"seed1-2.sass", 0x53f051ac8d491c47ull},
+        {"seed1-7.sass", 0x189b2f70027a676dull},
+    };
+    std::vector<std::string> files = listCorpus(SASSI_FUZZ_CORPUS_DIR);
+    EXPECT_EQ(files.size(), pinned.size());
+    for (const auto &f : files) {
+        std::string base = std::filesystem::path(f).filename().string();
+        auto it = pinned.find(base);
+        ASSERT_NE(it, pinned.end()) << "no pinned hash for " << base;
+        EXPECT_EQ(programContentHash(loadProgram(f)), it->second) << f;
     }
 }
 

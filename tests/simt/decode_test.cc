@@ -2,13 +2,10 @@
  * @file
  * Unit tests for the micro-op compiler (simt/decode.h): superblock
  * formation respects basic-block leaders, predication, and the
- * fast-path eligibility rules; the process-wide UopCache shares
- * compiled programs by content fingerprint.
+ * fast-path eligibility rules.
  */
 
 #include <gtest/gtest.h>
-
-#include <string>
 
 #include "sassir/builder.h"
 #include "simt/decode.h"
@@ -21,21 +18,12 @@ using sassi::ir::Label;
 
 namespace {
 
-uint64_t
-counterOf(const Metrics &m, const std::string &name)
-{
-    for (const auto &[n, v] : m.counters())
-        if (n == name)
-            return v;
-    return 0;
-}
-
 /** mov; iadd; imul; lop; exit — one maximal straight-line run. */
 ir::Kernel
-straightKernel(const char *name = "straight", int32_t seed = 7)
+straightKernel()
 {
-    KernelBuilder kb(name);
-    kb.mov32i(4, seed);
+    KernelBuilder kb("straight");
+    kb.mov32i(4, 7);
     kb.iadd(5, 4, 4);
     kb.imul(6, 5, 4);
     kb.lop(LogicOp::Xor, 7, 6, 5);
@@ -221,67 +209,6 @@ TEST(MicroProgram, SpillFillAluOpRunsItsExecFunctionOffSuperblocks)
     ASSERT_EQ(prog.superblocks().size(), 1u);
     EXPECT_EQ(prog.superblock(1).start, 0u);
     EXPECT_EQ(prog.superblock(1).len, 2u);
-}
-
-TEST(UopCache, HitSharesCompiledProgram)
-{
-    UopCache &cache = UopCache::global();
-    cache.clear();
-
-    ir::Kernel k = straightKernel("cache_a");
-    auto p1 = cache.get(k);
-    auto p2 = cache.get(k);
-    ASSERT_NE(p1, nullptr);
-    EXPECT_EQ(p1.get(), p2.get());
-    EXPECT_EQ(cache.size(), 1u);
-
-    Metrics m = cache.snapshot();
-    EXPECT_EQ(counterOf(m, "uop/cache/compiles"), 1u);
-    EXPECT_EQ(counterOf(m, "uop/cache/hits"), 1u);
-    EXPECT_EQ(counterOf(m, "uop/cache/entries"), 1u);
-    EXPECT_EQ(counterOf(m, "uop/static/instrs"), k.code.size());
-    cache.clear();
-}
-
-TEST(UopCache, FingerprintIsContentSensitive)
-{
-    ir::Kernel a = straightKernel("fp", 7);
-    ir::Kernel b = straightKernel("fp", 7);
-    EXPECT_EQ(UopCache::fingerprint(a), UopCache::fingerprint(b));
-
-    // Any instruction-field change must change the key.
-    ir::Kernel c = straightKernel("fp", 8);
-    EXPECT_NE(UopCache::fingerprint(a), UopCache::fingerprint(c));
-
-    // So must a metadata change with identical code.
-    ir::Kernel d = straightKernel("fp", 7);
-    d.numRegs += 1;
-    EXPECT_NE(UopCache::fingerprint(a), UopCache::fingerprint(d));
-}
-
-TEST(UopCache, RewrittenKernelRecompilesAndInvalidates)
-{
-    UopCache &cache = UopCache::global();
-    cache.clear();
-
-    ir::Kernel orig = straightKernel("rewritten", 1);
-    cache.get(orig);
-
-    // An instrumented rewrite keeps the name but changes the code:
-    // the lookup must miss (new fingerprint) and compile fresh.
-    ir::Kernel rewritten = straightKernel("rewritten", 2);
-    auto p2 = cache.get(rewritten);
-    ASSERT_NE(p2, nullptr);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(counterOf(cache.snapshot(), "uop/cache/compiles"), 2u);
-
-    // Invalidating by name drops every generation of that kernel.
-    EXPECT_EQ(cache.invalidate("rewritten"), 2u);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(counterOf(cache.snapshot(), "uop/cache/invalidated"),
-              2u);
-    EXPECT_EQ(cache.invalidate("rewritten"), 0u);
-    cache.clear();
 }
 
 } // namespace

@@ -204,8 +204,8 @@ printSummary(const CampaignResult &res, int jobs)
  * jobs, 2x at 4 — and every run must produce the same corpus,
  * coverage and buckets. Each side runs kGateReps times, alternating,
  * and the medians are compared, up to kGateAttempts times until one
- * passes (bench/gate_timing.h); the first serial run also pays every
- * uop compile that later runs hit in the cache.
+ * passes (bench/gate_timing.h). Every campaign launches on fresh
+ * devices, so both sides compile every program they run.
  */
 int
 gate(CampaignOptions opt)

@@ -20,8 +20,8 @@
  *     --no-simd      run every uop on its scalar exec function
  *                    instead of the AVX2 lane-vectorized tier
  *
- * The table includes the process-wide micro-op compiler counters
- * ("uop/...": compile/hit/entry counts, superblock statics and
+ * The table includes the process-wide micro-op compiler tally
+ * ("uop/...": device compiles and reuses, superblock statics and
  * dynamic run totals, the SIMD-tier dispatch split — uops executed
  * lane-vectorized vs on their scalar exec function — and the
  * compiled-handler dispatch counters: inline vs fiber handler
