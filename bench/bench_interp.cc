@@ -15,9 +15,10 @@
  * perfbench/run.py (BENCHMARK.json).
  *
  * --smoke runs a short differential pass instead: every kernel is
- * executed with the generic interpreter, superblocks, and
- * superblocks + compiled-handler fast path, and the LaunchStats and
- * metrics registry must match bit for bit (exit 1 otherwise).
+ * executed in each of the fuzz oracle's dispatch modes
+ * (fuzz::kModes: generic, superblock, simd, fused, fused_simd), and
+ * the LaunchStats and metrics registry must match the generic
+ * interpreter's bit for bit (exit 1 otherwise).
  * --slowdown-gate measures the 8-worker instrumented alu_heavy
  * slowdown and fails when it exceeds kMaxSlowdown.
  * --scaling-gate measures the speedup of a plain 64x128 alu_heavy
@@ -33,12 +34,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/sassi.h"
+#include "fuzz/oracle.h"
 #include "handlers/instr_counter.h"
 #include "gate_timing.h"
 #include "sassir/builder.h"
@@ -254,19 +257,19 @@ measure(Setup &s, int superblocks, double min_secs, int simd = -1,
 int
 runSmoke()
 {
-    // (superblocks, handlerFastpath) per mode; mode 0 is the
-    // reference generic interpreter.
-    constexpr struct { int sb, fp; } kModes[] = {
-        {0, 0}, {1, 0}, {1, 1}};
+    // The fuzz oracle's dispatch modes; kModes[0] is the reference
+    // generic interpreter.
+    constexpr size_t kNumModes = std::size(fuzz::kModes);
     int failures = 0;
     for (const Bench &b : kBenches) {
-        LaunchResult r[3];
-        for (int mode = 0; mode < 3; ++mode) {
+        LaunchResult r[kNumModes];
+        for (size_t mode = 0; mode < kNumModes; ++mode) {
+            const fuzz::DispatchMode &m = fuzz::kModes[mode];
             Setup s = prepare(b, 64);
-            r[mode] = launchOnce(s, kModes[mode].sb, kModes[mode].fp);
+            r[mode] = launchOnce(s, m.sb, m.fp, 1, Ctas, m.sd);
         }
         bool same = true;
-        for (int mode = 1; mode < 3; ++mode) {
+        for (size_t mode = 1; mode < kNumModes; ++mode) {
             const LaunchResult &r0 = r[0];
             const LaunchResult &r1 = r[mode];
             same = same && r0.outcome == r1.outcome &&
@@ -332,8 +335,8 @@ runSlowdownGate()
  * --scaling-gate: the parallel-scaling tripwire. A 64x128 alu_heavy
  * grid (64 CTAs of 128 threads on ALU work, no shared state) must
  * speed up by at least 0.5 * w at w = min(8, hardware threads)
- * workers over serial — 4x at 8 workers, 2x at 4. The
- * work-stealing scheduler's job is to keep every worker busy on
+ * workers over serial — 4x at 8 workers, 2x at 4. Workers claim
+ * CTA chunks off one cursor, which must keep every worker busy on
  * this shape. Each side is timed kGateReps times, alternating, and
  * the medians are compared, up to kGateAttempts times until one
  * passes (bench/gate_timing.h). A single-threaded host cannot show

@@ -61,9 +61,6 @@ class DevHashTable
     /** @return slot capacity. */
     uint32_t capacity() const { return capacity_; }
 
-    /** @return payload words per entry. */
-    uint32_t payloadWords() const { return payload_words_; }
-
   private:
     uint64_t slotAddr(uint32_t slot) const;
 

@@ -131,12 +131,6 @@ class Hierarchy
     /** @return DRAM store lines written through a no-allocate L2. */
     uint64_t dramWrites() const { return dram_writes_; }
 
-    /** @return active-lane counts of every coalesced transaction. */
-    const MetricHistogram &lanesPerTransaction() const
-    {
-        return lanes_per_txn_;
-    }
-
     /**
      * Publish the hierarchy's counters and the lanes-per-transaction
      * histogram into a registry under `prefix` (e.g. "mem" yields

@@ -53,16 +53,6 @@ constexpr RegId Arg0Lo = 4;
 /** Second pointer argument (low word); high word is Arg1Lo+1. */
 constexpr RegId Arg1Lo = 6;
 
-/** Handlers may use at most this many registers (paper's cap). */
-constexpr int HandlerMaxRegs = 16;
-
-/** @return true if the callee may clobber GPR r across a call. */
-constexpr bool
-callerSaved(RegId r)
-{
-    return r < HandlerMaxRegs && r != StackPtr;
-}
-
 } // namespace abi
 
 } // namespace sassi::sass

@@ -33,13 +33,6 @@ struct Cfg
 
     /** Per-instruction map to the containing block id. */
     std::vector<int> blockOf;
-
-    /** @return the block containing instruction pc. */
-    const BasicBlock &blockAt(int pc) const
-    {
-        return blocks[static_cast<size_t>(
-            blockOf[static_cast<size_t>(pc)])];
-    }
 };
 
 /**

@@ -208,40 +208,47 @@ Executor::run()
 {
     const uint64_t total = grid_.count();
     int workers = resolveSimThreads(opts_.numThreads, total);
-    const uint64_t chunk_ctas =
-        ChunkScheduler::defaultChunkCtas(total, workers);
-    const uint64_t chunks = (total + chunk_ctas - 1) / chunk_ctas;
-    // A worker with no chunk to start from would only ever steal;
-    // don't spin one up.
+    // ~8 chunks per worker gives the cursor grain to balance uneven
+    // CTAs; the 256-CTA cap keeps the quanta small on huge grids.
+    uint64_t chunk_ctas = std::clamp<uint64_t>(
+        total / (static_cast<uint64_t>(workers) * 8), 1, 256);
+    uint64_t chunks = (total + chunk_ctas - 1) / chunk_ctas;
+    // A worker that could never claim a chunk is not worth starting.
     workers = static_cast<int>(
         std::min<uint64_t>(static_cast<uint64_t>(workers), chunks));
+    // One worker runs one chunk spanning the grid on the calling
+    // thread: byte for byte the historical strictly-serial execution.
+    if (workers == 1) {
+        chunk_ctas = total;
+        chunks = 1;
+    }
 
-    // Deal contiguous CTA chunks onto per-worker deques with
-    // steal-on-empty. Worker 0 is this executor; every other worker
+    // Workers claim contiguous CTA chunks in ascending order off one
+    // cursor, as the GPU's block scheduler hands CTAs to whichever SM
+    // frees up first. Worker 0 is this executor; every other worker
     // is a full Executor with private warp state, shared memory,
     // statistics, and counter shard. Only device global memory is
     // shared, and every RMW on it goes through a real atomic
     // (execMem, intrinsics.cc), matching the GPU's own guarantees.
-    // One worker runs one chunk spanning the grid on the calling
-    // thread: byte for byte the historical strictly-serial execution.
+    std::atomic<uint64_t> cursor{0};
     std::atomic<uint64_t> fault_bound{~0ull};
-    ChunkScheduler sched(total, workers, workers > 1 ? chunk_ctas : total);
-    std::vector<ChunkOutcome> chunks_out(sched.chunkCount());
+    std::vector<ChunkOutcome> chunks_out(chunks);
     std::vector<std::unique_ptr<Executor>> shards;
-    for (int w = 1; w < workers; ++w) {
+    for (int w = 1; w < workers; ++w)
         shards.emplace_back(std::make_unique<Executor>(
             dev_, kernel_, prog_, grid_, block_, params_, opts_));
-        shards.back()->fault_bound_ = &fault_bound;
-    }
-    fault_bound_ = &fault_bound;
     ThreadPool::global().parallelFor(workers, [&](int w) {
         Executor &e = w == 0 ? *this : *shards[static_cast<size_t>(w - 1)];
         e.trace_tid_ = w;
-        uint32_t id = 0;
-        while (sched.next(w, id))
-            e.runChunk(sched.chunk(id), chunks_out[id]);
+        for (;;) {
+            const uint64_t id = cursor.fetch_add(1);
+            if (id >= chunks)
+                return;
+            const uint64_t begin = id * chunk_ctas;
+            e.runChunk(begin, std::min(begin + chunk_ctas, total),
+                       fault_bound, chunks_out[id]);
+        }
     });
-    fault_bound_ = nullptr;
 
     // Per-worker state merges in worker order; everything here is
     // commutative (counter sums, histogram bucket sums + min/max,
@@ -253,7 +260,7 @@ Executor::run()
     }
 
     // Merge statistics in chunk id order == ascending CTA order, so
-    // which worker ran (or stole) a chunk never shows in the result.
+    // which worker ran a chunk never shows in the result.
     // On a fault, stop at the first faulted chunk: chunk ranges
     // ascend, so it holds the globally lowest faulting CTA, and the
     // accumulated stats are exactly the CTAs the serial path would
@@ -300,18 +307,18 @@ Executor::finalizeMetrics(LaunchResult &result)
 }
 
 void
-Executor::runChunk(const CtaChunk &chunk, ChunkOutcome &out)
+Executor::runChunk(uint64_t begin, uint64_t end,
+                   std::atomic<uint64_t> &fault_bound, ChunkOutcome &out)
 {
     stats_ = LaunchStats{};
     try {
-        for (uint64_t linear = chunk.begin; linear < chunk.end;
-             ++linear) {
+        for (uint64_t linear = begin; linear < end; ++linear) {
             // CTAs above a published fault can never beat it for
             // "earliest fault" and the serial path would not have
             // reached them; CTAs below it must still run to
             // completion so the bound converges on the CTA serial
             // execution faults on.
-            if (linear > fault_bound_->load(std::memory_order_relaxed))
+            if (linear > fault_bound.load(std::memory_order_relaxed))
                 break;
             runOneCta(linear);
         }
@@ -321,9 +328,9 @@ Executor::runChunk(const CtaChunk &chunk, ChunkOutcome &out)
         out.outcome = f.outcome;
         out.message = f.message;
         // fetch-min of the faulting CTA-linear id.
-        uint64_t cur = fault_bound_->load(std::memory_order_relaxed);
+        uint64_t cur = fault_bound.load(std::memory_order_relaxed);
         while (cta_linear_ < cur &&
-               !fault_bound_->compare_exchange_weak(
+               !fault_bound.compare_exchange_weak(
                    cur, cta_linear_, std::memory_order_relaxed,
                    std::memory_order_relaxed)) {
         }

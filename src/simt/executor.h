@@ -10,8 +10,8 @@
  * nullifies guarded-false lanes. Warps within a CTA interleave
  * round-robin, one instruction at a time; CTAs are independent up
  * to global atomics, so the grid is split into contiguous CTA
- * chunks scheduled work-stealing across a worker pool
- * (LaunchOptions::numThreads, simt/chunk_sched.h). Each worker is
+ * chunks that a worker pool (LaunchOptions::numThreads) claims in
+ * ascending order off one atomic cursor. Each worker is
  * an executor of its own with private warp state, shared memory,
  * statistics, and a deferred-counter shard; per-chunk statistics
  * are merged in chunk (i.e.\ ascending CTA) order and everything
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "sassir/module.h"
-#include "simt/chunk_sched.h"
 #include "simt/counter_shard.h"
 #include "simt/decode.h"
 #include "simt/device.h"
@@ -69,9 +68,9 @@ class Executor
              std::vector<uint8_t> params, const LaunchOptions &opts);
 
     /**
-     * Run the whole grid to completion, scheduling CTA chunks
-     * work-stealing across the worker pool when the options allow
-     * more than one thread. LaunchStats are accumulated per chunk
+     * Run the whole grid to completion, with the worker pool claiming
+     * CTA chunks in ascending order off one cursor when the options
+     * allow more than one thread. LaunchStats are accumulated per chunk
      * and merged in chunk order, so completed launches report
      * thread-count-invariant statistics. On a fault, the reported
      * fault — outcome, message, *and* statistics — comes from the
@@ -213,8 +212,15 @@ class Executor
         std::string message;
     };
 
-    /** Run one chunk's CTAs (ascending), honoring the fault bound. */
-    void runChunk(const CtaChunk &chunk, ChunkOutcome &out);
+    /**
+     * Run CTAs [begin, end) in ascending order, skipping those above
+     * fault_bound, the lowest faulting CTA-linear id published so
+     * far. A fault lowers the bound (fetch-min); CTAs below it still
+     * run to completion, so the final bound is deterministically the
+     * CTA the serial path would have faulted on.
+     */
+    void runChunk(uint64_t begin, uint64_t end,
+                  std::atomic<uint64_t> &fault_bound, ChunkOutcome &out);
     /** Run one CTA by linear id (trace + per-CTA bookkeeping). */
     void runOneCta(uint64_t linear);
     /** Apply the merged deferred-counter deltas to device memory. */
@@ -332,13 +338,6 @@ class Executor
     // Context the micro-op exec functions need beyond the warp;
     // refreshed per CTA.
     UopCtx uop_ctx_;
-
-    // Lowest faulting CTA-linear id published so far (fetch-min),
-    // pointing into run()'s frame while the workers run. Workers
-    // skip CTAs above the bound at CTA boundaries but still finish
-    // everything below it, so the final bound is deterministically
-    // the CTA the serial path would have faulted on.
-    std::atomic<uint64_t> *fault_bound_ = nullptr;
 
     // Deferred blind counter adds of this worker (cache-line-
     // aligned: the counterShard() add path runs once per handler

@@ -39,14 +39,6 @@ bits(uint32_t word, int lo, int len)
     return (word >> lo) & ((1u << len) - 1);
 }
 
-/** Insert val into bits [lo, lo+len) of word. */
-inline uint32_t
-insertBits(uint32_t word, int lo, int len, uint32_t val)
-{
-    uint32_t mask = (len >= 32 ? ~0u : ((1u << len) - 1)) << lo;
-    return (word & ~mask) | ((val << lo) & mask);
-}
-
 /** Build a 64-bit value from two 32-bit halves. */
 inline uint64_t
 makeU64(uint32_t lo, uint32_t hi)

@@ -78,9 +78,6 @@ class FiberGroup
      */
     uint64_t barrier(uint64_t value, const Reducer &reducer);
 
-    /** @return the lane id of the currently running fiber. */
-    int currentLane() const { return current_lane_; }
-
     /** @return true when called from inside a fiber of this group. */
     bool inFiber() const { return current_lane_ >= 0; }
 

@@ -77,20 +77,6 @@ ptrPlusIdx(KernelBuilder &kb, RegId dst_pair, int64_t param_off,
              static_cast<RegId>(dst_pair + 1), sass::RZ);
 }
 
-/** Emit: pair += (idx << shift); clobbers scratch. */
-inline void
-pairAddIdx(KernelBuilder &kb, RegId pair, RegId idx, int shift,
-           RegId scratch)
-{
-    if (shift > 0)
-        kb.shl(scratch, idx, shift);
-    else
-        kb.mov(scratch, idx);
-    kb.iaddcc(pair, pair, scratch);
-    kb.iaddx(static_cast<RegId>(pair + 1),
-             static_cast<RegId>(pair + 1), sass::RZ);
-}
-
 } // namespace gen
 
 } // namespace sassi::workloads

@@ -33,9 +33,9 @@ using sassi::ir::Label;
 
 namespace {
 
-/** The scheduler deals a 64-CTA grid as 16 chunks of 4 CTAs at 2
- *  workers and 64 single-CTA chunks at 8, so the work-stealing paths
- *  (owner pop, thief pop, deque handoff) run on these grids. */
+/** A launch splits a 64-CTA grid into 16 chunks of 4 CTAs at 2
+ *  workers and 64 single-CTA chunks at 8, so every worker claims
+ *  several chunks off the shared cursor on these grids. */
 constexpr int kCtas = 64;
 constexpr int kBlock = 64;
 constexpr int kThreadCounts[] = {1, 2, 8};
@@ -348,8 +348,8 @@ TEST(ParallelHandlers, BlockCounterInvariantAcrossThreads)
 /**
  * A deliberately imbalanced grid: every thread iterates tid+1
  * times, and CTA 0 additionally runs 2048 extra iterations, so the
- * worker that drew CTA 0 grinds while its siblings go idle and must
- * steal the remainder of the grid. Params: out u32[gridDim*blockDim].
+ * worker that claimed CTA 0 grinds while its siblings claim the
+ * rest of the grid off the cursor. Params: out u32[gridDim*blockDim].
  */
 ir::Kernel
 buildImbalanced()
@@ -387,7 +387,7 @@ buildImbalanced()
     return kb.finish();
 }
 
-TEST(ParallelDeterminism, WorkStealingImbalancedGridBitIdentical)
+TEST(ParallelDeterminism, ImbalancedGridBitIdentical)
 {
     LaunchResult ref;
     std::vector<uint32_t> ref_out;
@@ -456,15 +456,15 @@ TEST(ParallelHandlers, InstrCounterImbalancedGridInvariant)
 }
 
 /**
- * Faults land in stolen chunks: CTA 0 grinds a long uniform loop
- * while every CTA past the midpoint faults on a wild load, so at 2+
- * threads the faulting tail is reached by stealing workers long
- * before the owner finishes CTA 0. The reported fault must still be
+ * Faults land in the grid's tail chunks: CTA 0 grinds a long uniform
+ * loop while every CTA past the midpoint faults on a wild load, so at
+ * 2+ threads the other workers claim and fault on the tail long
+ * before the worker running CTA 0 finishes it. The reported fault must still be
  * the earliest faulting CTA's, and the merged statistics must match
  * the serial run bit for bit (stats past the first faulted chunk
  * are discarded from the merge).
  */
-TEST(ParallelDeterminism, StolenChunkFaultReportsEarliestCta)
+TEST(ParallelDeterminism, TailChunkFaultReportsEarliestCta)
 {
     LaunchResult ref;
     for (int i = 0; i < 3; ++i) {

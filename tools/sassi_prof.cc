@@ -8,7 +8,8 @@
  *   sassi_prof [options] [workload]
  *     --list         list the available workloads and exit
  *     --threads N    worker threads (default 0: SASSI_SIM_THREADS /
- *                    hardware concurrency)
+ *                    hardware concurrency); a workload that pins its
+ *                    own count keeps it
  *     --instrument   instrument with the Figure 3 instruction
  *                    counter so handler metrics appear too
  *     --trace FILE   also record a Chrome trace_event timeline
@@ -121,7 +122,10 @@ main(int argc, char **argv)
 
     simt::Device dev;
     std::unique_ptr<workloads::Workload> w = entry->make();
-    w->launchOptions.numThreads = threads;
+    // A workload that pins its thread count (histo and the bfs apps
+    // race across CTAs) keeps the pin; --threads sets the others.
+    if (w->launchOptions.numThreads == 0)
+        w->launchOptions.numThreads = threads;
     w->launchOptions.superblocks = superblocks;
     w->launchOptions.handlerFastpath = handler_fastpath;
     w->launchOptions.simd = simd;
