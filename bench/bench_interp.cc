@@ -358,14 +358,20 @@ runScalingGate()
     Setup s = prepare(kBenches[0], kIters);
     for (int attempt = 1; attempt <= bench::kGateAttempts; ++attempt) {
         std::vector<double> serials, pars;
+        bench::GrantedCpus serialCpus, parCpus;
         for (int rep = 0; rep < bench::kGateReps; ++rep) {
-            serials.push_back(perLaunchSecs(s, 1, kCtas));
-            pars.push_back(perLaunchSecs(s, workers, kCtas));
+            serials.push_back(
+                serialCpus.time([&] { return perLaunchSecs(s, 1, kCtas); }));
+            pars.push_back(parCpus.time(
+                [&] { return perLaunchSecs(s, workers, kCtas); }));
         }
         double serial = bench::median(serials);
         double par = bench::median(pars);
         double speedup = par > 0 ? serial / par : 0;
         bool ok = speedup >= need;
+        std::printf("scaling gate: granted parallelism serial %.2f cpus, "
+                    "%d workers %.2f cpus (process CPU time / wall time)\n",
+                    serialCpus.cpus(), workers, parCpus.cpus());
         std::printf("scaling gate: alu_heavy %dx%d  serial %.3fs/launch  "
                     "%d workers %.3fs/launch  speedup %.2fx  need "
                     "%.2fx  %s\n",

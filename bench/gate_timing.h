@@ -16,12 +16,21 @@
  * short: a busy neighbour rarely holds the cores for three
  * measurements in a row, while a scheduler that serialises its
  * workers misses the bound every time.
+ *
+ * Before each attempt's speedup, a gate prints each side's granted
+ * parallelism (GrantedCpus): process CPU time over wall time. A
+ * sharded side that got about w cores and still did not speed up
+ * points at the program; one that never got the cores points at the
+ * host.
  */
 
 #ifndef SASSI_BENCH_GATE_TIMING_H
 #define SASSI_BENCH_GATE_TIMING_H
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <chrono>
 #include <vector>
 
 namespace sassi::bench {
@@ -52,6 +61,53 @@ median(std::vector<double> v)
     std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
     return v[v.size() / 2];
 }
+
+/** @return user + system CPU seconds this process has used. */
+inline double
+processCpuSeconds()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    auto secs = [](const timeval &tv) {
+        return static_cast<double>(tv.tv_sec) + tv.tv_usec * 1e-6;
+    };
+    return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+/**
+ * The parallelism one gate side was granted: process CPU time over
+ * wall time, summed over every run timed through time(). 1.0 is
+ * one busy core.
+ */
+class GrantedCpus
+{
+  public:
+    /** Run f(), adding its CPU and wall time; @return f()'s result. */
+    template <typename F>
+    auto
+    time(F &&f)
+    {
+        const double cpu0 = processCpuSeconds();
+        const auto wall0 = std::chrono::steady_clock::now();
+        auto result = f();
+        wall_ += std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - wall0)
+                     .count();
+        cpu_ += processCpuSeconds() - cpu0;
+        return result;
+    }
+
+    /** @return CPU seconds per wall second over the timed runs. */
+    double
+    cpus() const
+    {
+        return wall_ > 0 ? cpu_ / wall_ : 0.0;
+    }
+
+  private:
+    double cpu_ = 0;
+    double wall_ = 0;
+};
 
 } // namespace sassi::bench
 

@@ -333,8 +333,8 @@ SassiRuntime::dispatch(simt::Executor &exec, simt::Warp &warp,
             traits.warpFn(traits.warpCtx,
                           WarpHandlerEnv{envs, warp.activeMask});
         } else if (!fused && traits.warpSynchronous) {
-            // One fiber group per OS thread: ucontext fiber state
-            // must never be shared (or migrated) across threads.
+            // One fiber group per OS thread: fiber state must never
+            // be shared (or migrated) across threads.
             static thread_local FiberGroup fibers;
             static thread_local std::vector<int> lanes;
             lanes.clear();

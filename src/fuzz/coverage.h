@@ -52,7 +52,7 @@ enum Plane : uint32_t {
     PlaneSuperblock = 1u << 1,   //!< Batched superblock uop runs.
     PlaneSimd = 1u << 2,         //!< AVX2 lane-vectorized uops.
     PlaneInlineHandler = 1u << 3,//!< Fused-site inline dispatch.
-    PlaneFiberHandler = 1u << 4, //!< ucontext fiber dispatch.
+    PlaneFiberHandler = 1u << 4, //!< Per-lane fiber dispatch.
 };
 
 /** @return e.g.\ "generic+superblock+simd" ("none" when empty). */

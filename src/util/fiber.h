@@ -10,13 +10,22 @@
  * invocation on its own fiber; an intrinsic call suspends the lane
  * until all active lanes arrive, at which point the warp-wide result
  * is computed and all lanes resume.
+ *
+ * On x86-64 a fiber switch is a short assembly routine that saves
+ * only the callee-saved registers, MXCSR and the x87 control word,
+ * with no system call. Other targets switch with ucontext. Under
+ * AddressSanitizer and ThreadSanitizer every switch is announced
+ * through the sanitizer fiber API.
  */
 
 #ifndef SASSI_UTIL_FIBER_H
 #define SASSI_UTIL_FIBER_H
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -73,7 +82,8 @@ class FiberGroup
      * @param value The lane's contribution.
      * @param reducer Combines all contributions into the result every
      *                lane receives. All lanes must pass an equivalent
-     *                reducer (the first arriving lane's is used).
+     *                reducer (the first arriving lane's is used; it
+     *                must stay alive until this call returns).
      * @return The reduction result.
      */
     uint64_t barrier(uint64_t value, const Reducer &reducer);
@@ -87,26 +97,46 @@ class FiberGroup
   private:
     enum class LaneState { Idle, Runnable, Blocked, Done };
 
+#if defined(__x86_64__)
+    /** A suspended fiber: its stack pointer, above its saved registers. */
+    using Context = void *;
+#else
+    using Context = ucontext_t;
+#endif
+
     struct Lane
     {
-        ucontext_t ctx;
+        Context ctx{};
         std::vector<uint8_t> stack;
+        void *tsan_fiber = nullptr; //!< ThreadSanitizer builds only.
         LaneState state = LaneState::Idle;
         uint64_t pending_value = 0;
         uint64_t barrier_result = 0;
     };
 
+    [[noreturn]] static void laneEntry(FiberGroup *group) noexcept;
+#if !defined(__x86_64__)
     static void trampoline(unsigned hi, unsigned lo);
-    void laneMain(int lane);
-    void switchToScheduler();
+#endif
+    void seedLane(Lane &lane);
+    static void switchContext(Context &save, Context &to);
+    void resumeLane(Lane &lane);
+    void switchToScheduler(bool lane_done);
 
     std::vector<Lane> lanes_;
-    ucontext_t sched_ctx_;
+    Context sched_ctx_{};
+    const void *sched_stack_bottom_ = nullptr; //!< AddressSanitizer only.
+    size_t sched_stack_size_ = 0;
+    void *sched_tsan_fiber_ = nullptr;
     const std::function<void(int)> *body_ = nullptr;
     std::vector<int> live_lanes_;
     int current_lane_ = -1;
-    Reducer pending_reducer_;
-    bool reducer_armed_ = false;
+    /** The first arriver's reducer; that lane stays suspended in
+     *  barrier() until the reduction runs, so the pointee lives. */
+    const Reducer *pending_reducer_ = nullptr;
+    std::vector<uint64_t> vals_; //!< Rendezvous scratch, reused.
+    std::vector<int> blocked_;
+    std::vector<uint64_t> results_;
 };
 
 } // namespace sassi

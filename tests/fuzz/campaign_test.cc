@@ -7,9 +7,9 @@
  * sweeps, mismatch triage into buckets with content-hash-keyed
  * reproducers, and the corpus/reproducer file contract.
  *
- * TSan caveat: suites meant for the TSan preset must run the oracle
- * with withTools=false — instrumented configs can dispatch handlers
- * on ucontext fibers, whose stack switching TSan cannot follow.
+ * Suites meant for the TSan preset run the oracle with
+ * withTools=false, which keeps that run bounded; the plane suite's
+ * handler rows cover handler dispatch, fibers included, under TSan.
  */
 
 #include <gtest/gtest.h>

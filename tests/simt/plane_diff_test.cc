@@ -27,11 +27,10 @@
  * `IdleSiteDiff.<case>` (fused visits that run no handler body, mixed
  * with live ones) and `StackPtrSiteDiff.<Tool>` (register info on an
  * instruction naming R1, which must stay generic) compare fused_simd
- * with simd, the fast path the only switch between them. The
- * workload cases, the `ErrorToolDiff` and `IdleSiteDiff` cases and
- * `StackPtrSiteDiff.ErrorInjector` are fiber-free, so the TSan
- * preset runs them; the other handler rows dispatch on fibers and
- * run in the default preset only.
+ * with simd, the fast path the only switch between them. The TSan
+ * preset runs every case except `HandlerInlineDiff.<case>`; handler
+ * rows dispatch on fibers off the fast path, and FiberGroup
+ * announces each fiber switch to TSan.
  */
 
 #include <gtest/gtest.h>

@@ -94,7 +94,7 @@ TEST(Metrics, SerializeIsNameOrderedAndInsertionInvariant)
  * Simulate the executor's sharding scheme with real OS threads: 64
  * "CTAs" dealt round-robin to per-worker shards, merged in worker
  * order. The merged registry must be identical at 1, 2, and 8
- * workers. (This test is fiber-free, so the TSan preset runs it.)
+ * workers. (The TSan preset runs it.)
  */
 std::string
 runSharded(int workers)

@@ -222,12 +222,13 @@ gate(CampaignOptions opt)
     opt.minimize = false;
     for (int attempt = 1; attempt <= bench::kGateAttempts; ++attempt) {
         std::vector<double> serialSecs, shardedSecs;
+        bench::GrantedCpus serialCpus, shardedCpus;
         CampaignResult serial, sharded;
         for (int rep = 0; rep < bench::kGateReps; ++rep) {
             opt.jobs = 1;
-            serial = campaign(opt, true);
+            serial = serialCpus.time([&] { return campaign(opt, true); });
             opt.jobs = jobs;
-            sharded = campaign(opt, true);
+            sharded = shardedCpus.time([&] { return campaign(opt, true); });
             if (serial.corpusHash() != sharded.corpusHash() ||
                 serial.coverage.hash() != sharded.coverage.hash() ||
                 serial.bucketsKey() != sharded.bucketsKey()) {
@@ -244,6 +245,9 @@ gate(CampaignOptions opt)
         double speedup = serialMid > 0 && shardedMid > 0
                              ? serialMid / shardedMid
                              : 0.0;
+        std::printf("gate: granted parallelism jobs=1 %.2f cpus, "
+                    "jobs=%d %.2f cpus (process CPU time / wall time)\n",
+                    serialCpus.cpus(), jobs, shardedCpus.cpus());
         std::printf("gate: jobs=1 %.2f execs/sec, jobs=%d %.2f "
                     "execs/sec (median of %d, speedup %.2fx, need "
                     "%.2fx)\n",
